@@ -69,7 +69,6 @@ from repro.data.pricing import (
     baseline_demand_profile,
     generate_history,
 )
-from repro.detection.single_event import CommunityResponseSimulator
 from repro.metrics.cost import LaborCostModel, normalized_labor_cost
 from repro.metrics.errors import rmse
 from repro.perf.counters import PERF
@@ -78,6 +77,7 @@ from repro.reporting.ascii import render_profile
 from repro.reporting.tables import ComparisonRow, comparison_table
 from repro.simulation.results import save_scenario
 from repro.simulation.scenario import run_long_term_scenario
+from repro.simulation.world import response_simulators
 
 PRESETS = {
     "smoke": smoke_preset,
@@ -114,18 +114,8 @@ class _Environment:
                 demand_forecast=self.demand, renewable_forecast=self.renewable
             )
         )
-        self.truth_sim = CommunityResponseSimulator(
-            self.community,
-            config=config.game,
-            sellback_divisor=config.pricing.sellback_divisor,
-            seed=3,
-            tariff=config.tariff,
-        )
-        self.unaware_sim = CommunityResponseSimulator(
-            self.community.without_net_metering(),
-            config=config.game,
-            sellback_divisor=config.pricing.sellback_divisor,
-            seed=3,
+        self.truth_sim, self.unaware_sim = response_simulators(
+            self.community, config, aware=False
         )
 
 

@@ -41,6 +41,7 @@ from repro.prediction.load import LoadPrediction, predict_community_load
 from repro.prediction.price import AwarePricePredictor, UnawarePricePredictor
 from repro.scheduling.game import Community
 from repro.simulation.scenario import ScenarioResult, run_long_term_scenario
+from repro.simulation.world import response_simulators
 
 
 @dataclass(frozen=True)
@@ -92,8 +93,9 @@ class DetectionFramework:
         self._community: Community | None = None
         self._history: PriceHistory | None = None
         self._predictor: AwarePricePredictor | UnawarePricePredictor | None = None
-        self._simulator: CommunityResponseSimulator | None = None
-        self._predicted_simulator: CommunityResponseSimulator | None = None
+        self._simulators: (
+            tuple[CommunityResponseSimulator, CommunityResponseSimulator] | None
+        ) = None
         self._price_model = GuidelinePriceModel(
             config=config.pricing, n_customers=config.n_customers
         )
@@ -193,26 +195,13 @@ class DetectionFramework:
         predicted_prices: ArrayLike,
     ) -> SingleEventDetector:
         """Build the PAR-threshold detector for one predicted-price vector."""
-        if self._simulator is None:
-            self._simulator = CommunityResponseSimulator(
-                self.community,
-                config=self.config.game,
-                sellback_divisor=self.config.pricing.sellback_divisor,
-                seed=3,
-                tariff=self.config.tariff,
+        if self._simulators is None:
+            self._simulators = response_simulators(
+                self.community, self.config, aware=self.aware
             )
-        predicted_simulator = self._simulator
-        if not self.aware:
-            if self._predicted_simulator is None:
-                self._predicted_simulator = CommunityResponseSimulator(
-                    self.community.without_net_metering(),
-                    config=self.config.game,
-                    sellback_divisor=self.config.pricing.sellback_divisor,
-                    seed=3,
-                )
-            predicted_simulator = self._predicted_simulator
+        simulator, predicted_simulator = self._simulators
         return SingleEventDetector(
-            self._simulator,
+            simulator,
             predicted_prices,
             predicted_simulator=predicted_simulator,
             threshold=self.config.detection.par_threshold,

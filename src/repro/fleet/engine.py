@@ -32,12 +32,8 @@ from repro.perf.counters import PERF
 from repro.simulation.cache import GameSolutionCache
 from repro.simulation.scenario import DetectorKind
 from repro.stream.events import event_from_dict
-from repro.stream.pipeline import (
-    StreamEngine,
-    build_synthetic_engine,
-    default_synthetic_attack,
-)
-from repro.stream.source import ScriptedOccurrence
+from repro.stream.pipeline import StreamEngine, build_synthetic_engine
+from repro.stream.source import synthetic_attack_script
 
 
 @dataclass(frozen=True)
@@ -74,34 +70,23 @@ class CommunitySpec:
         """The community's engine, identical to a standalone build.
 
         With ``announce_attacks`` the window runs as a *scripted
-        campaign*: the same attack on the same meters over the same
-        days, but installed as a :class:`ScriptedOccurrence` — so the
-        source announces it on the ground-truth ledger
+        campaign* (:func:`~repro.stream.source.synthetic_attack_script`):
+        the source announces it on the ground-truth ledger
         (:class:`~repro.stream.events.AttackOccurrence`) and the
         resilience scoreboard can attribute episodes to a family.
         """
-        attack_days = self.attack_days
-        occurrences: tuple[ScriptedOccurrence, ...] = ()
-        if self.announce_attacks:
-            spd = self.config.time.slots_per_day
-            n_meters = self.config.detection.n_monitored_meters
-            hacked = self.hacked_meters
-            if hacked is None:
-                # Mirror build_synthetic_engine's default hacked set.
-                hacked = tuple(range(max(1, n_meters // 2)))
-            occurrences = (
-                ScriptedOccurrence(
-                    days=self.attack_days,
-                    meter_ids=hacked,
-                    attack=default_synthetic_attack(spd, self.attack_strength),
-                ),
-            )
-            attack_days = (0, 0)
+        script = synthetic_attack_script(
+            self.config,
+            attack_days=self.attack_days,
+            hacked_meters=self.hacked_meters,
+            attack_strength=self.attack_strength,
+            announce=self.announce_attacks,
+        )
         return build_synthetic_engine(
             self.config,
             n_days=self.n_days,
-            attack_days=attack_days,
-            hacked_meters=self.hacked_meters,
+            attack_days=script.attack_days,
+            hacked_meters=script.hacked_meters,
             attack_strength=self.attack_strength,
             tp_rate=self.tp_rate,
             fp_rate=self.fp_rate,
@@ -109,7 +94,7 @@ class CommunitySpec:
             seed=self.seed,
             cache=cache,
             faults=self.faults,
-            occurrences=occurrences,
+            occurrences=script.occurrences,
         )
 
     def to_dict(self) -> dict[str, Any]:

@@ -30,8 +30,7 @@ from repro.faults.plan import FaultPlan
 from repro.fleet.engine import CommunitySpec
 from repro.simulation.scenario import DetectorKind
 from repro.stream.events import event_to_dict
-from repro.stream.pipeline import default_synthetic_attack
-from repro.stream.source import ScriptedOccurrence, SyntheticSource
+from repro.stream.source import SyntheticSource, synthetic_attack_script
 
 
 class LoadGenerator:
@@ -147,32 +146,14 @@ class LoadGenerator:
         Sources are cheap (no game solves), so envelope generation never
         builds detector stacks.
         """
-        spd = spec.config.time.slots_per_day
-        n_meters = spec.config.detection.n_monitored_meters
-        hacked = spec.hacked_meters
-        if hacked is None:
-            hacked = tuple(range(max(1, n_meters // 2)))
-        attack = default_synthetic_attack(spd, spec.attack_strength)
-        attack_days = spec.attack_days
-        occurrences: tuple[ScriptedOccurrence, ...] = ()
-        if spec.announce_attacks:
-            # Mirror CommunitySpec.build_engine's campaign conversion so
-            # the envelope stream stays the wire-format twin of a tick.
-            occurrences = (
-                ScriptedOccurrence(
-                    days=spec.attack_days, meter_ids=hacked, attack=attack
-                ),
-            )
-            attack_days = (0, 0)
-        return SyntheticSource(
-            n_meters=n_meters,
-            n_days=spec.n_days,
-            slots_per_day=spd,
-            attack_days=attack_days,
-            hacked_meters=hacked,
-            attack=attack,
-            occurrences=occurrences,
+        script = synthetic_attack_script(
+            spec.config,
+            attack_days=spec.attack_days,
+            hacked_meters=spec.hacked_meters,
+            attack_strength=spec.attack_strength,
+            announce=spec.announce_attacks,
         )
+        return script.source(spec.config, n_days=spec.n_days)
 
     def envelopes(
         self, specs: tuple[CommunitySpec, ...] | None = None

@@ -53,7 +53,6 @@ from repro.obs.scoreboard import (
     ScoreboardPublisher,
     attach_scoreboard,
     merge_reports,
-    scoreboard_from_arrays,
 )
 from repro.obs.trace import Span, TRACER, TraceContext, Tracer
 
@@ -78,7 +77,6 @@ __all__ = [
     "metric_name",
     "parse_prometheus_text",
     "render_prometheus",
-    "scoreboard_from_arrays",
     "to_fleet_chrome_trace",
     "write_fleet_trace",
 ]

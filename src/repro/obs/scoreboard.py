@@ -47,7 +47,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 import numpy as np
-from numpy.typing import NDArray
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.perf.counters import PerfRegistry
@@ -71,7 +70,7 @@ class ResilienceScoreboard:
     default_family:
         Attack-family label for episodes that no occurrence-ledger entry
         explains (e.g. the legacy ``attack_days`` window, which is never
-        announced, or batch scenario arrays folded without a ledger).
+        announced, or a scenario replay, which announces none).
     """
 
     def __init__(self, *, default_family: str = DEFAULT_FAMILY) -> None:
@@ -120,34 +119,14 @@ class ResilienceScoreboard:
 
     def record(self, detection: "SlotDetection") -> None:
         """Fold one timeline verdict (called once per slot, in order)."""
-        truth = detection.truth
-        if detection.gap:
-            self.fold_slot(detection.slot, flags=None, truth=None, repaired=False, gap=True)
-            return
-        self.fold_slot(
-            detection.slot,
-            flags=detection.flags,
-            truth=truth,
-            repaired=detection.repaired,
-        )
-
-    def fold_slot(
-        self,
-        slot: int,
-        *,
-        flags: NDArray[np.bool_] | None,
-        truth: NDArray[np.bool_] | None,
-        repaired: bool,
-        gap: bool = False,
-    ) -> None:
-        """Fold one slot's raw arrays (shared by stream and batch paths)."""
         self._slots_total += 1
-        if gap:
+        if detection.gap:
             self._gap_slots += 1
             if self._open:
                 self._attacked_slots += 1
                 self._attacked_gap_slots += 1
             return
+        truth = detection.truth
         if truth is None:
             self._unscored_slots += 1
             if self._open:
@@ -155,20 +134,18 @@ class ResilienceScoreboard:
                 self._attacked_observed_slots += 1
             return
         self._scored_slots += 1
-        if flags is not None:
-            hit = bool(np.logical_and(flags, truth).any())
-            flagged = bool(flags.any())
-            self._tp += int(np.logical_and(flags, truth).sum())
-            self._fp += int(np.logical_and(flags, ~truth).sum())
-            self._fn += int(np.logical_and(~flags, truth).sum())
-            self._tn += int(np.logical_and(~flags, ~truth).sum())
-        else:
-            hit = False
-            flagged = False
+        flags = detection.flags
+        self._tp += int(np.logical_and(flags, truth).sum())
+        self._fp += int(np.logical_and(flags, ~truth).sum())
+        self._fn += int(np.logical_and(~flags, truth).sum())
+        self._tn += int(np.logical_and(~flags, ~truth).sum())
         if bool(truth.any()):
-            self._fold_attacked(slot, hit=hit, repaired=repaired)
+            hit = bool(np.logical_and(flags, truth).any())
+            self._fold_attacked(detection.slot, hit=hit, repaired=detection.repaired)
         else:
-            self._fold_clean(slot, flagged=flagged, repaired=repaired)
+            self._fold_clean(
+                detection.slot, flagged=bool(flags.any()), repaired=detection.repaired
+            )
 
     def _fold_attacked(self, slot: int, *, hit: bool, repaired: bool) -> None:
         if not self._open:
@@ -470,35 +447,6 @@ def attach_scoreboard(pipeline: "OnlinePipeline") -> ResilienceScoreboard:
         board = ResilienceScoreboard()
         pipeline.scoreboard = board
     board.rebuild(pipeline.timeline, pipeline.occurrences)
-    return board
-
-
-def scoreboard_from_arrays(
-    *,
-    truth: NDArray[np.bool_],
-    flags: NDArray[np.bool_],
-    repairs: NDArray[np.bool_],
-    family: str = DEFAULT_FAMILY,
-) -> ResilienceScoreboard:
-    """Fold batch scenario arrays (``ScenarioResult``) into a scoreboard.
-
-    The batch path has no occurrence ledger, so every episode is
-    attributed to ``family`` (the sweep cell's attack-family axis).
-    """
-    n_slots = int(truth.shape[0])
-    if flags.shape[0] != n_slots or repairs.shape[0] != n_slots:
-        raise ValueError(
-            f"misaligned arrays: truth {truth.shape[0]}, "
-            f"flags {flags.shape[0]}, repairs {repairs.shape[0]} slots"
-        )
-    board = ResilienceScoreboard(default_family=family)
-    for slot in range(n_slots):
-        board.fold_slot(
-            slot,
-            flags=flags[slot],
-            truth=truth[slot],
-            repaired=bool(repairs[slot]),
-        )
     return board
 
 

@@ -8,12 +8,18 @@ One scenario run couples every subsystem:
    shares of it;
 3. the single-event detector is **calibrated** (Monte-Carlo TP/FP rates)
    and the **POMDP** observation model built from the measured rates;
-4. the per-slot loop runs the ground-truth **hacking process**, collects
-   single-event flags, feeds the flag count to the **long-term detector**
-   and applies its repair decisions;
+4. per slot, the ground-truth **hacking process** steps, the
+   single-event flags feed the **long-term detector**, and its repair
+   decisions feed back into the hacking process;
 5. the realized **grid demand** mixes the benign community response with
    the hacked shares' manipulated responses (all cached game solutions),
    giving the PAR column of Table 1.
+
+Steps 1–3 are :func:`repro.simulation.world.build_world`; steps 4–5 are
+the streaming pipeline.  :func:`run_long_term_scenario` replays the
+world through :class:`~repro.stream.pipeline.OnlinePipeline` and reads
+the result off the detection timeline, so the batch scenario and the
+stream replay are one code path.
 
 The ``detector="none"`` variant skips the policy (attacks are never
 repaired), reproducing Table 1's "No Detection" column.
@@ -21,36 +27,19 @@ repaired), reproducing Table 1's "No Detection" column.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
 from numpy.typing import NDArray
 
-from repro.attacks.hacking import MeterHackingProcess
 from repro.core.config import CommunityConfig
-from repro.data.community import build_community
-from repro.data.weather import DEFAULT_WEATHER
-from repro.data.pricing import (
-    GuidelinePriceModel,
-    PriceHistory,
-    baseline_demand_profile,
-    generate_history,
-)
-from repro.detection.long_term import LongTermDetector
-from repro.detection.pomdp import build_detection_pomdp
-from repro.detection.single_event import (
-    CommunityResponseSimulator,
-    SingleEventDetector,
-)
-from repro.detection.solvers import PbviPolicy, QmdpPolicy
+from repro.data.pricing import PriceHistory
 from repro.metrics.accuracy import confusion_counts, per_meter_accuracy
 from repro.metrics.cost import LaborCostModel
 from repro.metrics.par import par
 from repro.obs.trace import TRACER
-from repro.prediction.price import AwarePricePredictor, UnawarePricePredictor
-from repro.simulation.cache import GameSolutionCache, global_game_cache
-from repro.simulation.calibration import measure_single_event_rates
+from repro.simulation.cache import GameSolutionCache
 
 DetectorKind = Literal["aware", "unaware", "none"]
 
@@ -163,214 +152,23 @@ def run_long_term_scenario(
         path; the telemetry families additionally decouple the reading
         the detector sees from the price the home responded to.
     """
-    if n_slots < 1:
-        raise ValueError(f"n_slots must be >= 1, got {n_slots}")
-    spd = config.time.slots_per_day
-    if n_slots % spd != 0:
-        raise ValueError(f"n_slots {n_slots} must be a multiple of {spd}")
-    n_days = n_slots // spd
-    rng = np.random.default_rng(config.seed if seed is None else seed)
-    cache = cache if cache is not None else global_game_cache()
-    scenario_span = TRACER.begin(
-        "scenario.run", detector=str(detector), n_slots=n_slots
-    )
-    setup_span = TRACER.begin("scenario.setup", parent_id=scenario_span)
+    # Function-local: the stream and world modules import this one.
+    from repro.simulation.world import build_world
+    from repro.stream.pipeline import replay_engine
 
-    day_config = config.with_updates(time=replace(config.time, n_days=1))
-    community = build_community(day_config, rng=rng)
-    price_model = GuidelinePriceModel(
-        config=config.pricing, n_customers=config.n_customers
-    )
-    if history is None:
-        history = generate_history(
-            rng,
-            n_customers=config.n_customers,
-            pricing=config.pricing,
-            solar=config.solar,
-            slots_per_day=spd,
-            mean_pv_per_customer_kw=config.solar.peak_kw * config.pv_adoption,
-        )
-
-    aware = detector != "unaware"
-    if aware:
-        predictor: AwarePricePredictor | UnawarePricePredictor = AwarePricePredictor()
-    else:
-        predictor = UnawarePricePredictor()
-    predictor.fit(history)
-
-    # --- day-level environment -------------------------------------------
-    base_demand = baseline_demand_profile(day_config.time) * config.n_customers
-    day_clean_prices: list[NDArray[np.float64]] = []
-    day_predicted: list[NDArray[np.float64]] = []
-    for _ in range(n_days):
-        weather = DEFAULT_WEATHER.daily_factor(rng)
-        pv = community.total_pv * weather
-        demand = base_demand * float(np.clip(rng.normal(1.0, 0.03), 0.8, 1.2))
-        clean = price_model.price(demand, pv, rng=rng)
-        day_clean_prices.append(clean)
-        if aware:
-            predicted = predictor.predict_day(
-                demand_forecast=demand, renewable_forecast=pv
+    with TRACER.span("scenario.run", detector=str(detector), n_slots=n_slots):
+        with TRACER.span("scenario.setup"):
+            world = build_world(
+                config,
+                detector=detector,
+                n_slots=n_slots,
+                history=history,
+                policy=policy,
+                calibration_trials=calibration_trials,
+                seed=seed,
+                cache=cache,
+                attack_family=attack_family,
             )
-        else:
-            predicted = predictor.predict_day()
-        day_predicted.append(predicted)
-        # Roll the history forward so the next day's lags see this day.
-        history = PriceHistory(
-            prices=np.concatenate([history.prices, clean]),
-            demand=np.concatenate([history.demand, demand]),
-            renewable=np.concatenate([history.renewable, pv]),
-            nm_active=np.concatenate([history.nm_active, np.ones(spd, dtype=bool)]),
-            slots_per_day=spd,
-        )
-
-    # --- detection stack ---------------------------------------------------
-    # Ground truth responses always include net metering; the received
-    # price is simulated on this model for both detectors.
-    truth_simulator = CommunityResponseSimulator(
-        community,
-        config=config.game,
-        sellback_divisor=config.pricing.sellback_divisor,
-        seed=3,
-        cache=cache,
-        solver=config.solver,
-        tariff=config.tariff,
-    )
-    # The detector's own expectation model: the unaware detector does not
-    # model net metering at all (ref. [8]), so its predicted PAR carries a
-    # systematic offset — the compromise the paper analyzes.
-    if aware:
-        predicted_simulator = truth_simulator
-    else:
-        # The unaware detector's model predates tariffs entirely: it
-        # keeps the legacy flat pricing regardless of ``config.tariff``.
-        predicted_simulator = CommunityResponseSimulator(
-            community.without_net_metering(),
-            config=config.game,
-            sellback_divisor=config.pricing.sellback_divisor,
-            seed=3,
-            cache=cache,
-            solver=config.solver,
-        )
-    # Batch-solve the day-level games up front: every detector
-    # construction below (predicted PAR) and every slot's clean response
-    # then hits the cache.  Prefetching consumes nothing from the
-    # scenario rng and is bitwise-identical to solving lazily.
-    if predicted_simulator is truth_simulator:
-        truth_simulator.prefetch(day_predicted + day_clean_prices)
-    else:
-        predicted_simulator.prefetch(day_predicted)
-        truth_simulator.prefetch(day_clean_prices)
-    n_meters = config.detection.n_monitored_meters
-    hacking = MeterHackingProcess(
-        n_meters,
-        config.detection.hack_probability,
-        slots_per_day=spd,
-        attack_family=attack_family,
-        rng=rng,
-    )
-    day_detectors = [
-        SingleEventDetector(
-            truth_simulator,
-            day_predicted[d],
-            predicted_simulator=predicted_simulator,
-            threshold=config.detection.par_threshold,
-            margin_noise_std=config.detection.margin_noise_std,
-        )
-        for d in range(n_days)
-    ]
-
-    long_term: LongTermDetector | None = None
-    tp_rate = fp_rate = 0.0
-    if detector != "none":
-        rates = measure_single_event_rates(
-            day_detectors[0],
-            day_clean_prices[0],
-            hacking,
-            n_trials=calibration_trials,
-            rng=rng,
-        ).clipped()
-        tp_rate, fp_rate = rates.tp_rate, rates.fp_rate
-        model = build_detection_pomdp(
-            n_meters,
-            hack_probability=config.detection.hack_probability,
-            tp_rate=tp_rate,
-            fp_rate=fp_rate,
-            damage_per_meter=config.detection.damage_per_meter,
-            repair_fixed_cost=config.detection.repair_fixed_cost,
-            repair_cost_per_meter=config.detection.repair_cost_per_meter,
-            discount=config.detection.discount,
-        )
-        chosen_policy = (
-            PbviPolicy(model, rng=np.random.default_rng(int(rng.integers(2**31 - 1))))
-            if policy == "pbvi"
-            else QmdpPolicy(model)
-        )
-        long_term = LongTermDetector(model, policy=chosen_policy)
-
-    # --- per-slot loop -------------------------------------------------------
-    TRACER.end(setup_span)
-    truth = np.zeros((n_slots, n_meters), dtype=bool)
-    flags = np.zeros((n_slots, n_meters), dtype=bool)
-    observations = np.zeros(n_slots, dtype=int)
-    repairs = np.zeros(n_slots, dtype=bool)
-    repaired_counts = np.zeros(n_slots, dtype=int)
-    realized_grid = np.zeros(n_slots)
-
-    for slot in range(n_slots):
-        day = slot // spd
-        slot_in_day = slot % spd
-        clean = day_clean_prices[day]
-        with TRACER.span("scenario.slot", slot=slot, day=day):
-            if slot > 0 and slot_in_day == 0:
-                # New day, new guideline-price vector: the attacker rolls a
-                # fresh manipulation of it.
-                hacking.new_campaign()
-            hacking.step()
-            truth[slot] = hacking.hacked_mask
-
-            # ``received`` is what each home responded to; ``reported``
-            # is what its meter told the utility.  Honest families keep
-            # the two bitwise-identical; the telemetry families spoof or
-            # blank the reading, blinding the PAR check.
-            received = np.tile(clean, (n_meters, 1))
-            reported = np.tile(clean, (n_meters, 1))
-            for meter in hacking.hacked_meters:
-                attacked = meter.attack.apply(clean)
-                received[meter.meter_id] = attacked
-                reported[meter.meter_id] = meter.attack.report(clean, attacked)
-            flags[slot] = day_detectors[day].observe_meters(reported, rng=rng)
-            observations[slot] = int(flags[slot].sum())
-
-            # Realized grid demand: each monitored meter stands for 1/n of
-            # the community; hacked shares respond to their manipulated
-            # prices.
-            benign = truth_simulator.response(clean).grid_demand
-            demand = benign[slot_in_day]
-            for meter in hacking.hacked_meters:
-                attacked = truth_simulator.response(
-                    received[meter.meter_id]
-                ).grid_demand
-                demand += (attacked[slot_in_day] - benign[slot_in_day]) / n_meters
-            realized_grid[slot] = max(demand, 0.0)
-
-            if long_term is not None:
-                with TRACER.span("detector.update", observation=int(observations[slot])):
-                    step = long_term.step(observations[slot])
-                if step.repaired:
-                    repaired_counts[slot] = hacking.repair_all()
-                    repairs[slot] = True
-
-    TRACER.end(scenario_span)
-    return ScenarioResult(
-        detector=detector,
-        truth=truth,
-        flags=flags,
-        observations=observations,
-        repairs=repairs,
-        repaired_counts=repaired_counts,
-        realized_grid=realized_grid,
-        slots_per_day=spd,
-        tp_rate=tp_rate,
-        fp_rate=fp_rate,
-    )
+        engine = replay_engine(world)
+        engine.run()
+    return engine.result()

@@ -9,9 +9,10 @@ penetration grows?*
 
 :func:`sweep_matrix` generalizes the one-knob sweep into the scenario
 matrix of ``docs/SCENARIOS.md``: a full tariff × attack-family ×
-PV-penetration × detector grid.  Every cell is one
-:func:`~repro.simulation.scenario.run_long_term_scenario` call, and the
-``("flat", "peak_increase")`` column at the config's own PV adoption is
+PV-penetration × detector grid.  Every cell is one scenario replay
+(:func:`~repro.stream.pipeline.build_replay_engine`, the engine behind
+:func:`~repro.simulation.scenario.run_long_term_scenario`) scored on a
+live resilience scoreboard, and the ``("flat", "peak_increase")`` column at the config's own PV adoption is
 *bitwise* the paper's Table 1 run — the flat tariff resolves to
 ``tariff=None``, so those cells take the exact pre-tariff code path the
 golden-master fixtures pin.
@@ -29,9 +30,10 @@ from numpy.typing import NDArray
 
 from repro.core.config import CommunityConfig, config_to_dict
 from repro.metrics.cost import LaborCostModel
-from repro.obs.scoreboard import scoreboard_from_arrays
+from repro.obs.scoreboard import ResilienceScoreboard
 from repro.perf.parallel import SERIAL_MAP, ParallelMap
 from repro.simulation.scenario import DetectorKind, run_long_term_scenario
+from repro.stream.pipeline import build_replay_engine
 
 ConfigTransform = Callable[[CommunityConfig, Any], CommunityConfig]
 
@@ -281,7 +283,7 @@ def _run_matrix_cell(
         fixed_cost=cell_config.detection.repair_fixed_cost,
         per_meter_cost=cell_config.detection.repair_cost_per_meter,
     )
-    result = run_long_term_scenario(
+    engine = build_replay_engine(
         cell_config,
         detector=detector,
         n_slots=n_slots,
@@ -289,12 +291,11 @@ def _run_matrix_cell(
         calibration_trials=trials,
         attack_family=family,
     )
-    scoreboard = scoreboard_from_arrays(
-        truth=result.truth,
-        flags=result.flags,
-        repairs=result.repairs,
-        family=family,
-    )
+    # The replay announces no occurrences: every episode is the cell's family.
+    scoreboard = ResilienceScoreboard(default_family=family)
+    engine.pipeline.scoreboard = scoreboard
+    engine.run()
+    result = engine.result()
     return MatrixCell(
         tariff=tariff_name,
         attack_family=family,
@@ -342,9 +343,8 @@ def sweep_matrix(
         Detector variants per grid point (Table 1's three columns by
         default).
     n_slots / seed / calibration_trials:
-        Forwarded to every
-        :func:`~repro.simulation.scenario.run_long_term_scenario` call;
-        the defaults match the golden-master fixtures.
+        Forwarded to every cell's scenario replay; the defaults match
+        the golden-master fixtures.
     parallel:
         Execution backend for the cells.  Every cell is a pure function
         of its coordinate, so the serial and process backends produce

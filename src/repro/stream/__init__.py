@@ -1,8 +1,8 @@
 """Event-sourced online detection engine (the streaming front of the repo).
 
-The batch path (:mod:`repro.simulation.scenario`) rebuilds the world and
-runs the whole monitoring horizon in one call.  This package turns the
-same computation into a long-running *stream*: an event source emits
+This package runs the monitoring loop as a long-running *stream* (the
+batch scenario of :mod:`repro.simulation.scenario` is one such stream,
+replayed to exhaustion): an event source emits
 ordered :class:`~repro.stream.events.PriceUpdate` /
 :class:`~repro.stream.events.MeterReading` /
 :class:`~repro.stream.events.DayBoundary` events, an incremental
@@ -21,7 +21,7 @@ fail loudly with :class:`~repro.stream.checkpoint.CheckpointError`.
 semantics.
 
 - :mod:`repro.stream.events` -- the wire-format event model.
-- :mod:`repro.stream.source` -- replay (scenario-equivalent) and
+- :mod:`repro.stream.source` -- replay (the scenario world) and
   deterministic synthetic event sources.
 - :mod:`repro.stream.detectors` -- the SVR single-event detector and the
   POMDP monitor wrapped as incremental state machines.

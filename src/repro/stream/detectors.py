@@ -1,8 +1,7 @@
-"""Incremental (per-event) wrappers around the batch detection stack.
+"""Incremental (per-event) wrappers around the detection stack.
 
-The batch scenario builds every day's detector up front and loops over
-slots; a stream cannot.  These state machines hold exactly the state one
-event needs to advance:
+The pipeline advances one event at a time, so these state machines hold
+exactly the state one event needs to advance:
 
 - :class:`IncrementalSingleEvent` — binds the SVR/PAR single-event
   detector to the current day on each

@@ -1,7 +1,7 @@
 """The online detection pipeline and the event-pump engine.
 
-:class:`OnlinePipeline` is the incremental mirror of the batch
-scenario's per-slot loop: each :class:`~repro.stream.events.PriceUpdate`
+:class:`OnlinePipeline` is the repo's one per-slot monitoring loop,
+run an event at a time: each :class:`~repro.stream.events.PriceUpdate`
 binds the single-event detector to the new day, each
 :class:`~repro.stream.events.MeterReading` produces per-meter flags, a
 POMDP observation, a belief update and a monitor/repair action — one
@@ -10,8 +10,10 @@ POMDP observation, a belief update and a monitor/repair action — one
 :class:`StreamEngine` couples a source with a pipeline and pumps events
 through it, routing repair decisions back to the source (the feedback
 edge of the paper's Figure 2 loop) and exposing whole-run state capture
-for the checkpoint layer.  :func:`build_replay_engine` yields an engine
-whose detection timeline is bitwise-identical to the batch scenario;
+for the checkpoint layer.  :func:`replay_engine` wires a monitored world
+(:func:`repro.simulation.world.build_world`) into an engine — the batch
+scenario is that engine pumped to exhaustion, and
+:func:`build_replay_engine` is its checkpointable form;
 :func:`build_synthetic_engine` yields a lightweight scripted engine for
 the service layer and examples.
 """
@@ -24,17 +26,20 @@ from typing import TYPE_CHECKING, Any, Callable
 import numpy as np
 from numpy.typing import NDArray
 
-from repro.attacks.pricing import PeakIncreaseAttack
 from repro.core.config import CommunityConfig, RetryPolicy, config_to_dict
 from repro.data.community import build_community
-from repro.detection.long_term import LongTermDetector
-from repro.detection.pomdp import build_detection_pomdp
 from repro.detection.single_event import CommunityResponseSimulator
-from repro.detection.solvers import QmdpPolicy
 from repro.obs.trace import TRACER
 from repro.perf.counters import PERF
 from repro.simulation.cache import GameSolutionCache, global_game_cache
 from repro.simulation.scenario import DetectorKind, ScenarioResult
+from repro.simulation.world import (
+    ReplayWorld,
+    build_world,
+    is_aware,
+    long_term_detector,
+    response_simulators,
+)
 from repro.stream.detectors import IncrementalMonitor, IncrementalSingleEvent
 from repro.stream.events import (
     AttackOccurrence,
@@ -49,8 +54,7 @@ from repro.stream.source import (
     EventSource,
     ReplaySource,
     ScriptedOccurrence,
-    SyntheticSource,
-    build_replay_world,
+    synthetic_attack_script,
 )
 
 if TYPE_CHECKING:  # runtime import stays lazy to keep faults optional
@@ -66,7 +70,7 @@ class SlotDetection:
     """The pipeline's verdict for one monitoring slot.
 
     ``action``/``belief_mean`` are ``None`` when no long-term monitor is
-    configured (the batch path's ``detector="none"`` column);
+    configured (Table 1's ``detector="none"`` column);
     ``realized_grid`` is ``None`` when the reading carried no ground
     truth to simulate against.
 
@@ -146,7 +150,7 @@ class OnlinePipeline:
     rng:
         Measurement-noise stream for the per-meter checks.  For replay
         engines this is the *shared* world generator (interleaved with
-        the hacking process exactly as in the batch loop).
+        the source's hacking-process draws slot by slot).
     slots_per_day:
         Day length, for slot/day bookkeeping.
     grid_simulator:
@@ -478,8 +482,9 @@ class OnlinePipeline:
     def _realized_grid(self, reading: MeterReading) -> float | None:
         """Realized grid demand: benign response plus hacked-share deltas.
 
-        Identical arithmetic (and identical summation order: ascending
-        meter id) to the batch scenario's per-slot accounting.
+        Each monitored meter stands for ``1/n`` of the community;
+        hacked shares add their manipulated response's delta, summed in
+        ascending meter id.
         """
         if (
             reading.truth is None
@@ -789,40 +794,13 @@ class StreamEngine:
 
 
 # ----------------------------------------------------------------------
-def build_replay_engine(
-    config: CommunityConfig,
-    *,
-    detector: DetectorKind = "aware",
-    n_slots: int = 48,
-    policy: str = "qmdp",
-    calibration_trials: int = 30,
-    seed: int | None = None,
-    cache: GameSolutionCache | None = None,
-    faults: FaultPlan | None = None,
-    retry: RetryPolicy | None = None,
-    attack_family: str = "peak_increase",
-) -> StreamEngine:
-    """Scenario-equivalent streaming engine.
+def replay_engine(world: ReplayWorld, *, retry: RetryPolicy | None = None) -> StreamEngine:
+    """A world's replay source wired to its detector stack.
 
-    Pumping this engine to exhaustion and calling :meth:`StreamEngine.result`
-    reproduces :func:`~repro.simulation.scenario.run_long_term_scenario`
-    bit for bit (same flags, observations, repair actions and realized
-    grid) — the equivalence test in ``tests/test_stream_equivalence.py``
-    asserts exactly that.  Passing ``faults`` wraps the source in a
-    seeded :class:`~repro.faults.injector.FaultInjector` (see
-    :meth:`StreamEngine.install_faults`).
+    The pipeline draws measurement noise from the world's shared RNG
+    between the source's hacking-process draws, slot by slot.
     """
-    world = build_replay_world(
-        config,
-        detector=detector,
-        n_slots=n_slots,
-        policy=policy,
-        calibration_trials=calibration_trials,
-        seed=seed,
-        cache=cache,
-        attack_family=attack_family,
-    )
-    source = ReplaySource(world)
+    config = world.config
     single_event = IncrementalSingleEvent(
         world.truth_simulator,
         predicted_simulator=world.predicted_simulator,
@@ -840,26 +818,49 @@ def build_replay_engine(
         slots_per_day=world.slots_per_day,
         grid_simulator=world.truth_simulator,
     )
-    build_spec = {
-        "kind": "replay",
-        "config": config_to_dict(config),
-        "detector": detector,
-        "n_slots": n_slots,
-        "policy": policy,
-        "calibration_trials": calibration_trials,
-        "seed": seed,
-    }
-    if attack_family != "peak_increase":
-        build_spec["attack_family"] = attack_family
-    engine = StreamEngine(
-        source,
+    return StreamEngine(
+        ReplaySource(world),
         pipeline,
         rng=world.rng,
-        build_spec=build_spec,
+        build_spec=dict(world.build_spec),
         tp_rate=world.tp_rate,
         fp_rate=world.fp_rate,
         retry=retry,
     )
+
+
+def build_replay_engine(
+    config: CommunityConfig,
+    *,
+    detector: DetectorKind = "aware",
+    n_slots: int = 48,
+    policy: str = "qmdp",
+    calibration_trials: int = 30,
+    seed: int | None = None,
+    cache: GameSolutionCache | None = None,
+    faults: FaultPlan | None = None,
+    retry: RetryPolicy | None = None,
+    attack_family: str = "peak_increase",
+) -> StreamEngine:
+    """Scenario engine: the batch scenario's world as a checkpointable stream.
+
+    Pumping this engine to exhaustion and calling :meth:`StreamEngine.result`
+    is :func:`~repro.simulation.scenario.run_long_term_scenario` (which
+    does exactly that).  Passing ``faults`` wraps the source in a seeded
+    :class:`~repro.faults.injector.FaultInjector` (see
+    :meth:`StreamEngine.install_faults`).
+    """
+    world = build_world(
+        config,
+        detector=detector,
+        n_slots=n_slots,
+        policy=policy,
+        calibration_trials=calibration_trials,
+        seed=seed,
+        cache=cache,
+        attack_family=attack_family,
+    )
+    engine = replay_engine(world, retry=retry)
     if faults is not None:
         engine.install_faults(faults)
     return engine
@@ -889,68 +890,38 @@ def build_synthetic_engine(
     (assumed rather than Monte-Carlo-calibrated) TP/FP rates, keeping
     start-up to a couple of game solves.
     """
-    spd = config.time.slots_per_day
-    n_meters = config.detection.n_monitored_meters
-    if hacked_meters is None:
-        hacked_meters = tuple(range(max(1, n_meters // 2)))
+    aware = is_aware(detector)
+    script = synthetic_attack_script(
+        config,
+        attack_days=attack_days,
+        hacked_meters=hacked_meters,
+        attack_strength=attack_strength,
+    )
     rng = np.random.default_rng(config.seed)
     day_config = config.with_updates(time=replace(config.time, n_days=1))
     community = build_community(day_config, rng=rng)
-    cache = cache if cache is not None else global_game_cache()
-    truth_simulator = CommunityResponseSimulator(
+    truth_simulator, predicted_simulator = response_simulators(
         community,
-        config=config.game,
-        sellback_divisor=config.pricing.sellback_divisor,
-        seed=3,
-        cache=cache,
-        tariff=config.tariff,
-    )
-    predicted_simulator = (
-        truth_simulator
-        if detector != "unaware"
-        else CommunityResponseSimulator(
-            community.without_net_metering(),
-            config=config.game,
-            sellback_divisor=config.pricing.sellback_divisor,
-            seed=3,
-            cache=cache,
-        )
-    )
-    source = SyntheticSource(
-        n_meters=n_meters,
-        n_days=n_days,
-        slots_per_day=spd,
-        attack_days=attack_days,
-        hacked_meters=hacked_meters,
-        attack=default_synthetic_attack(spd, attack_strength),
-        occurrences=occurrences,
+        config,
+        aware=aware,
+        cache=cache if cache is not None else global_game_cache(),
     )
     single_event = IncrementalSingleEvent(
         truth_simulator,
-        predicted_simulator=(
-            None if predicted_simulator is truth_simulator else predicted_simulator
-        ),
+        predicted_simulator=predicted_simulator,
         threshold=config.detection.par_threshold,
         margin_noise_std=config.detection.margin_noise_std,
     )
     monitor: IncrementalMonitor | None = None
     if detector != "none":
-        model = build_detection_pomdp(
-            n_meters,
-            hack_probability=config.detection.hack_probability,
-            tp_rate=tp_rate,
-            fp_rate=fp_rate,
-            damage_per_meter=config.detection.damage_per_meter,
-            repair_fixed_cost=config.detection.repair_fixed_cost,
-            repair_cost_per_meter=config.detection.repair_cost_per_meter,
-            discount=config.detection.discount,
+        monitor = IncrementalMonitor(
+            long_term_detector(config, tp_rate=tp_rate, fp_rate=fp_rate)
         )
-        monitor = IncrementalMonitor(LongTermDetector(model, policy=QmdpPolicy(model)))
     pipeline = OnlinePipeline(
         single_event=single_event,
         monitor=monitor,
         rng=np.random.default_rng(seed),
-        slots_per_day=spd,
+        slots_per_day=config.time.slots_per_day,
         grid_simulator=truth_simulator,
     )
     build_spec = {
@@ -958,7 +929,7 @@ def build_synthetic_engine(
         "config": config_to_dict(config),
         "n_days": n_days,
         "attack_days": list(attack_days),
-        "hacked_meters": list(hacked_meters),
+        "hacked_meters": list(script.hacked_meters),
         "attack_strength": attack_strength,
         "tp_rate": tp_rate,
         "fp_rate": fp_rate,
@@ -968,7 +939,7 @@ def build_synthetic_engine(
     if occurrences:
         build_spec["occurrences"] = [occ.to_dict() for occ in occurrences]
     engine = StreamEngine(
-        source,
+        script.source(config, n_days=n_days, occurrences=occurrences),
         pipeline,
         rng=pipeline.rng,
         build_spec=build_spec,
@@ -979,18 +950,3 @@ def build_synthetic_engine(
     if faults is not None:
         engine.install_faults(faults)
     return engine
-
-
-def default_synthetic_attack(slots_per_day: int, strength: float) -> PeakIncreaseAttack:
-    """Evening cheap-window attack sized to the day grid.
-
-    Module-level (rather than inlined in :func:`build_synthetic_engine`)
-    so a checkpoint resume reconstructs the identical attack from the
-    persisted ``attack_strength``.
-    """
-    start = int(slots_per_day * 0.75)
-    return PeakIncreaseAttack(
-        start_slot=start,
-        end_slot=min(start + 1, slots_per_day - 1),
-        strength=strength,
-    )

@@ -2,18 +2,19 @@
 
 Two sources feed the online pipeline:
 
-- :class:`ReplaySource` replays the exact world of the batch scenario
-  (:func:`repro.simulation.scenario.run_long_term_scenario`) as an
-  ordered event stream.  :func:`build_replay_world` reproduces the batch
-  path's construction *draw for draw* — community, history, day
-  environments, calibration, policy — and shares one RNG between the
-  hacking process (event generation) and the detection pipeline
-  (measurement noise), so pumping the stream yields bitwise-identical
-  detection decisions to the batch run.
+- :class:`ReplaySource` replays a monitored world
+  (:func:`repro.simulation.world.build_world`) as an ordered event
+  stream.  It shares the world's one RNG with the detection pipeline
+  (hacking dynamics here, measurement noise there), and the batch
+  scenario (:func:`repro.simulation.scenario.run_long_term_scenario`)
+  *is* this replay pumped to exhaustion.
 - :class:`SyntheticSource` is a fully deterministic generator (no RNG at
   all): smooth double-peak guideline prices with a weekly modulation and
   a scripted compromise window.  It exists so the service layer and the
   examples can exercise the pipeline without building the heavy world.
+  :func:`synthetic_attack_script` is the one derivation of what a
+  synthetic community attacks (window, meters, payload, announced
+  campaign).
 
 Both satisfy the :class:`EventSource` protocol the engine pumps:
 ``next_event`` advances the stream one event, ``apply_repair`` is the
@@ -24,35 +25,16 @@ checkpointing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Protocol, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
-from repro.attacks.hacking import MeterHackingProcess
 from repro.attacks.pricing import PeakIncreaseAttack, PricingAttack
 from repro.attacks.registry import attack_from_dict, attack_kind, attack_to_dict
 from repro.core.config import CommunityConfig
-from repro.data.community import build_community
-from repro.data.pricing import (
-    GuidelinePriceModel,
-    PriceHistory,
-    baseline_demand_profile,
-    generate_history,
-)
-from repro.data.weather import DEFAULT_WEATHER
-from repro.detection.long_term import LongTermDetector
-from repro.detection.pomdp import build_detection_pomdp
-from repro.detection.single_event import (
-    CommunityResponseSimulator,
-    SingleEventDetector,
-)
-from repro.detection.solvers import PbviPolicy, QmdpPolicy
-from repro.prediction.price import AwarePricePredictor, UnawarePricePredictor
-from repro.simulation.cache import GameSolutionCache, global_game_cache
-from repro.simulation.calibration import measure_single_event_rates
-from repro.simulation.scenario import DetectorKind
+from repro.simulation.world import ReplayWorld
 from repro.stream.events import (
     AttackOccurrence,
     DayBoundary,
@@ -83,209 +65,13 @@ class EventSource(Protocol):
     def exhausted(self) -> bool: ...
 
 
-@dataclass
-class ReplayWorld:
-    """Everything a scenario-equivalent stream needs, built in batch order.
-
-    The ``rng`` is the *shared* generator: the replay source draws
-    compromise dynamics from it and the pipeline draws measurement noise
-    from it, interleaved exactly as the batch per-slot loop does.
-    """
-
-    config: CommunityConfig
-    detector: DetectorKind
-    n_slots: int
-    day_clean_prices: list[NDArray[np.float64]]
-    day_predicted: list[NDArray[np.float64]]
-    day_detectors: list[SingleEventDetector]
-    truth_simulator: CommunityResponseSimulator
-    predicted_simulator: CommunityResponseSimulator
-    hacking: MeterHackingProcess
-    long_term: LongTermDetector | None
-    tp_rate: float
-    fp_rate: float
-    rng: np.random.Generator
-
-    @property
-    def slots_per_day(self) -> int:
-        return self.config.time.slots_per_day
-
-    @property
-    def n_days(self) -> int:
-        return self.n_slots // self.slots_per_day
-
-    @property
-    def n_meters(self) -> int:
-        return self.config.detection.n_monitored_meters
-
-
-def build_replay_world(
-    config: CommunityConfig,
-    *,
-    detector: DetectorKind,
-    n_slots: int = 48,
-    history: PriceHistory | None = None,
-    policy: str = "qmdp",
-    calibration_trials: int = 30,
-    seed: int | None = None,
-    cache: GameSolutionCache | None = None,
-    attack_family: str = "peak_increase",
-) -> ReplayWorld:
-    """Construct the streaming world exactly as the batch scenario does.
-
-    Every RNG draw happens in the same order as
-    :func:`~repro.simulation.scenario.run_long_term_scenario` —
-    community build, history generation, per-day environment, detector
-    calibration, policy seeding — so that the generator handed to the
-    per-event loop is in the identical state the batch per-slot loop
-    starts from.  This is the invariant the stream-vs-batch equivalence
-    test asserts.
-    """
-    if n_slots < 1:
-        raise ValueError(f"n_slots must be >= 1, got {n_slots}")
-    spd = config.time.slots_per_day
-    if n_slots % spd != 0:
-        raise ValueError(f"n_slots {n_slots} must be a multiple of {spd}")
-    n_days = n_slots // spd
-    rng = np.random.default_rng(config.seed if seed is None else seed)
-    cache = cache if cache is not None else global_game_cache()
-
-    day_config = config.with_updates(time=replace(config.time, n_days=1))
-    community = build_community(day_config, rng=rng)
-    price_model = GuidelinePriceModel(
-        config=config.pricing, n_customers=config.n_customers
-    )
-    if history is None:
-        history = generate_history(
-            rng,
-            n_customers=config.n_customers,
-            pricing=config.pricing,
-            solar=config.solar,
-            slots_per_day=spd,
-            mean_pv_per_customer_kw=config.solar.peak_kw * config.pv_adoption,
-        )
-
-    aware = detector != "unaware"
-    if aware:
-        predictor: AwarePricePredictor | UnawarePricePredictor = AwarePricePredictor()
-    else:
-        predictor = UnawarePricePredictor()
-    predictor.fit(history)
-
-    base_demand = baseline_demand_profile(day_config.time) * config.n_customers
-    day_clean_prices: list[NDArray[np.float64]] = []
-    day_predicted: list[NDArray[np.float64]] = []
-    for _ in range(n_days):
-        weather = DEFAULT_WEATHER.daily_factor(rng)
-        pv = community.total_pv * weather
-        demand = base_demand * float(np.clip(rng.normal(1.0, 0.03), 0.8, 1.2))
-        clean = price_model.price(demand, pv, rng=rng)
-        day_clean_prices.append(clean)
-        if aware:
-            predicted = predictor.predict_day(
-                demand_forecast=demand, renewable_forecast=pv
-            )
-        else:
-            predicted = predictor.predict_day()
-        day_predicted.append(predicted)
-        history = PriceHistory(
-            prices=np.concatenate([history.prices, clean]),
-            demand=np.concatenate([history.demand, demand]),
-            renewable=np.concatenate([history.renewable, pv]),
-            nm_active=np.concatenate([history.nm_active, np.ones(spd, dtype=bool)]),
-            slots_per_day=spd,
-        )
-
-    truth_simulator = CommunityResponseSimulator(
-        community,
-        config=config.game,
-        sellback_divisor=config.pricing.sellback_divisor,
-        seed=3,
-        cache=cache,
-        tariff=config.tariff,
-    )
-    if aware:
-        predicted_simulator = truth_simulator
-    else:
-        predicted_simulator = CommunityResponseSimulator(
-            community.without_net_metering(),
-            config=config.game,
-            sellback_divisor=config.pricing.sellback_divisor,
-            seed=3,
-            cache=cache,
-        )
-    n_meters = config.detection.n_monitored_meters
-    hacking = MeterHackingProcess(
-        n_meters,
-        config.detection.hack_probability,
-        slots_per_day=spd,
-        attack_family=attack_family,
-        rng=rng,
-    )
-    day_detectors = [
-        SingleEventDetector(
-            truth_simulator,
-            day_predicted[d],
-            predicted_simulator=predicted_simulator,
-            threshold=config.detection.par_threshold,
-            margin_noise_std=config.detection.margin_noise_std,
-        )
-        for d in range(n_days)
-    ]
-
-    long_term: LongTermDetector | None = None
-    tp_rate = fp_rate = 0.0
-    if detector != "none":
-        rates = measure_single_event_rates(
-            day_detectors[0],
-            day_clean_prices[0],
-            hacking,
-            n_trials=calibration_trials,
-            rng=rng,
-        ).clipped()
-        tp_rate, fp_rate = rates.tp_rate, rates.fp_rate
-        model = build_detection_pomdp(
-            n_meters,
-            hack_probability=config.detection.hack_probability,
-            tp_rate=tp_rate,
-            fp_rate=fp_rate,
-            damage_per_meter=config.detection.damage_per_meter,
-            repair_fixed_cost=config.detection.repair_fixed_cost,
-            repair_cost_per_meter=config.detection.repair_cost_per_meter,
-            discount=config.detection.discount,
-        )
-        chosen_policy = (
-            PbviPolicy(model, rng=np.random.default_rng(int(rng.integers(2**31 - 1))))
-            if policy == "pbvi"
-            else QmdpPolicy(model)
-        )
-        long_term = LongTermDetector(model, policy=chosen_policy)
-
-    return ReplayWorld(
-        config=config,
-        detector=detector,
-        n_slots=n_slots,
-        day_clean_prices=day_clean_prices,
-        day_predicted=day_predicted,
-        day_detectors=day_detectors,
-        truth_simulator=truth_simulator,
-        predicted_simulator=predicted_simulator,
-        hacking=hacking,
-        long_term=long_term,
-        tp_rate=tp_rate,
-        fp_rate=fp_rate,
-        rng=rng,
-    )
-
-
 class ReplaySource:
     """Ordered event feed over a :class:`ReplayWorld`.
 
     Per day the source emits ``PriceUpdate``, then one ``MeterReading``
-    per slot, then ``DayBoundary``.  Side effects mirror the batch
-    per-slot loop exactly: a day-boundary ``PriceUpdate`` (day > 0)
-    rolls a fresh attack campaign, and every reading advances the
-    ground-truth hacking process by one slot *before* building the
+    per slot, then ``DayBoundary``.  A day-boundary ``PriceUpdate``
+    (day > 0) rolls a fresh attack campaign, and every reading advances
+    the ground-truth hacking process by one slot *before* building the
     per-meter received prices.
     """
 
@@ -666,3 +452,77 @@ class SyntheticSource:
             int(i) for i in state.get("active_occurrences", [])
         )
         self._due = [event_from_dict(payload) for payload in state.get("due", [])]
+
+
+def default_synthetic_attack(slots_per_day: int, strength: float) -> PeakIncreaseAttack:
+    """Evening cheap-window attack sized to the day grid.
+
+    A checkpoint resume reconstructs the identical attack from the
+    persisted ``attack_strength``.
+    """
+    start = int(slots_per_day * 0.75)
+    return PeakIncreaseAttack(
+        start_slot=start,
+        end_slot=min(start + 1, slots_per_day - 1),
+        strength=strength,
+    )
+
+
+@dataclass(frozen=True)
+class AttackScript:
+    """What a synthetic community is scripted to attack.
+
+    ``attack_days``/``hacked_meters``/``attack`` are the unannounced
+    window of :class:`SyntheticSource`; ``occurrences`` the announced
+    campaign.
+    """
+
+    attack_days: tuple[int, int]
+    hacked_meters: tuple[int, ...]
+    attack: PeakIncreaseAttack
+    occurrences: tuple[ScriptedOccurrence, ...]
+
+    def source(
+        self,
+        config: CommunityConfig,
+        *,
+        n_days: int,
+        occurrences: Sequence[ScriptedOccurrence] = (),
+    ) -> SyntheticSource:
+        """The scripted source over ``n_days`` of ``config``'s day grid."""
+        return SyntheticSource(
+            n_meters=config.detection.n_monitored_meters,
+            n_days=n_days,
+            slots_per_day=config.time.slots_per_day,
+            attack_days=self.attack_days,
+            hacked_meters=self.hacked_meters,
+            attack=self.attack,
+            occurrences=self.occurrences + tuple(occurrences),
+        )
+
+
+def synthetic_attack_script(
+    config: CommunityConfig,
+    *,
+    attack_days: tuple[int, int],
+    hacked_meters: Sequence[int] | None,
+    attack_strength: float,
+    announce: bool = False,
+) -> AttackScript:
+    """The one derivation of a synthetic community's attack script.
+
+    ``hacked_meters=None`` compromises the first half of the monitored
+    fleet (at least one meter).  With ``announce`` the window runs as a
+    scripted campaign: the same attack on the same meters over the same
+    days, installed as a :class:`ScriptedOccurrence` so the source
+    announces it on the ground-truth ledger, and the unannounced window
+    stays empty.
+    """
+    if hacked_meters is None:
+        hacked_meters = range(max(1, config.detection.n_monitored_meters // 2))
+    hacked = tuple(hacked_meters)
+    attack = default_synthetic_attack(config.time.slots_per_day, attack_strength)
+    if not announce:
+        return AttackScript(attack_days, hacked, attack, ())
+    campaign = ScriptedOccurrence(days=attack_days, meter_ids=hacked, attack=attack)
+    return AttackScript((0, 0), hacked, attack, (campaign,))

@@ -17,6 +17,16 @@ from repro.fleet.worker import ShardWorker
 from repro.perf.counters import PERF
 from repro.simulation.cache import GameSolutionCache
 from repro.stream.checkpoint import CheckpointError
+from repro.stream.events import event_to_dict
+
+
+def _drain(source):
+    events = []
+    while not source.exhausted:
+        event = source.next_event()
+        if event is not None:
+            events.append(event_to_dict(event))
+    return events
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +60,26 @@ class TestCommunitySpec:
             CommunitySpec(community_id="", config=fleet_config)
         with pytest.raises(ValueError, match="n_days"):
             CommunitySpec(community_id="c0", config=fleet_config, n_days=0)
+
+    @pytest.mark.parametrize("announce", [False, True], ids=["window", "campaign"])
+    def test_source_for_matches_engine_source(self, fleet_config, fleet_cache, announce):
+        """Envelopes and ticks replay one attack script, event for event."""
+        generator = LoadGenerator(
+            fleet_config, n_communities=2, n_days=3, seed=5, announce_attacks=announce
+        )
+        default_hacked = CommunitySpec(
+            community_id="cdefault",
+            config=fleet_config,
+            n_days=3,
+            announce_attacks=announce,
+        )
+        for spec in generator.specs() + (default_hacked,):
+            detached = generator.source_for(spec)
+            attached = spec.build_engine(cache=fleet_cache).source
+            events = _drain(detached)
+            assert events == _drain(attached)
+            has_occurrence = any(e["type"] == "attack_occurrence" for e in events)
+            assert has_occurrence == announce
 
 
 class TestBuildFleet:

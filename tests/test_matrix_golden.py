@@ -159,13 +159,13 @@ class TestCellScoreboards:
                 == slots["total"]
             )
             assert slots["total"] == matrix["n_slots"]
-            # Batch arrays have no telemetry gaps or unscored slots.
+            # A fault-free replay has no telemetry gaps or unscored slots.
             assert slots["gaps"] == 0 and slots["unscored"] == 0
             assert len(board["mttd"]["samples"]) == episodes["detected"]
             assert board["mttd"]["total_slots"] == sum(board["mttd"]["samples"])
 
     def test_family_attribution_is_the_cell_axis(self):
-        """The batch path attributes every episode to the cell's family."""
+        """The scenario replay attributes every episode to the cell's family."""
         matrix = _load_matrix_fixture()
         for cell in matrix["cells"]:
             board = cell["scoreboard"]
@@ -196,15 +196,15 @@ class TestCellScoreboards:
             assert board["mttr"]["samples"] == []
 
     def test_fresh_cell_scoreboard_matches_its_arrays(self):
-        """A recomputed cell's block equals the fold of its own arrays.
+        """A committed cell's block equals a live board on its replay.
 
         Closes the loop between the fixture (pinned bitwise by
         ``test_fresh_matrix_matches_committed_digests``) and the
-        scoreboard semantics: the block really is a pure function of the
-        already-digested truth/flags/repairs arrays.
+        scoreboard semantics: the block is the live scoreboard folded
+        slot by slot over the cell's own scenario replay.
         """
-        from repro.obs.scoreboard import scoreboard_from_arrays
-        from repro.simulation.sweep import run_long_term_scenario
+        from repro.obs.scoreboard import ResilienceScoreboard
+        from repro.stream.pipeline import build_replay_engine
 
         matrix = _load_matrix_fixture()
         pv = matrix["axes"]["pv_adoption"][0]
@@ -216,16 +216,13 @@ class TestCellScoreboards:
             and c["pv_adoption"] == pv
             and c["detector"] == "aware"
         ]
-        result = run_long_term_scenario(
+        engine = build_replay_engine(
             smoke_preset(),
             detector="aware",
             n_slots=matrix["n_slots"],
             attack_family="peak_increase",
         )
-        board = scoreboard_from_arrays(
-            truth=result.truth,
-            flags=result.flags,
-            repairs=result.repairs,
-            family="peak_increase",
-        )
+        board = ResilienceScoreboard(default_family="peak_increase")
+        engine.pipeline.scoreboard = board
+        engine.run()
         assert board.report() == cell["scoreboard"]

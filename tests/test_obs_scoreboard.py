@@ -28,7 +28,6 @@ from repro.obs.scoreboard import (
     ScoreboardPublisher,
     attach_scoreboard,
     merge_reports,
-    scoreboard_from_arrays,
 )
 from repro.perf.counters import PerfRegistry
 from repro.simulation.cache import GameSolutionCache
@@ -308,33 +307,6 @@ class TestMerge:
             merge_reports([{"format": "something-else"}])
         with pytest.raises(ValueError, match="version"):
             merge_reports([{"format": "repro-scoreboard", "version": 99}])
-
-
-class TestArraysPath:
-    def test_batch_arrays_equal_slotwise_fold(self):
-        rng = np.random.default_rng(3)
-        truth = rng.random((30, 3)) < 0.3
-        flags = rng.random((30, 3)) < 0.4
-        repairs = rng.random(30) < 0.2
-        board = scoreboard_from_arrays(
-            truth=truth, flags=flags, repairs=repairs, family="ramp"
-        )
-        manual = ResilienceScoreboard(default_family="ramp")
-        for slot in range(30):
-            manual.fold_slot(
-                slot, flags=flags[slot], truth=truth[slot],
-                repaired=bool(repairs[slot]),
-            )
-        assert board.report() == manual.report()
-        assert board.report()["slots"]["total"] == 30
-
-    def test_misaligned_arrays_rejected(self):
-        with pytest.raises(ValueError, match="misaligned"):
-            scoreboard_from_arrays(
-                truth=np.zeros((4, 2), dtype=bool),
-                flags=np.zeros((3, 2), dtype=bool),
-                repairs=np.zeros(4, dtype=bool),
-            )
 
 
 @pytest.fixture(scope="module")

@@ -146,16 +146,25 @@ class TestCheckpointFormat:
         with pytest.raises(ValueError, match="version"):
             load_checkpoint(path)
 
-    def test_resume_rejects_unknown_kind(self, tiny_config):
+    def test_resume_rejects_unknown_kind(self, tiny_config, cache):
         from repro.core.config import config_to_dict
+        from repro.stream.checkpoint import checkpoint_payload
 
-        with pytest.raises(ValueError, match="unknown checkpoint build kind"):
-            resume_engine(
-                {
-                    "build": {"kind": "bogus", "config": config_to_dict(tiny_config)},
-                    "state": {},
-                }
-            )
+        bogus_kind = {
+            "build": {"kind": "bogus", "config": config_to_dict(tiny_config)},
+            "state": {},
+        }
+        # A misspelt detector must not resume as the aware default.
+        tampered = checkpoint_payload(
+            build_synthetic_engine(tiny_config, detector="unaware", n_days=1, cache=cache)
+        )
+        tampered["build"]["detector"] = "unawre"
+        for payload, match in (
+            (bogus_kind, "unknown checkpoint build kind"),
+            (tampered, "unknown detector kind 'unawre'"),
+        ):
+            with pytest.raises(ValueError, match=match):
+                resume_engine(payload)
 
     def test_no_tmp_file_left_behind(self, tiny_config, cache, tmp_path):
         engine = build_synthetic_engine(tiny_config, n_days=1, cache=cache)

@@ -1,10 +1,11 @@
 """Stream-vs-batch equivalence: the replay engine must reproduce
 ``run_long_term_scenario`` bit for bit.
 
-This is the streaming subsystem's core invariant: one shared RNG,
-interleaved between the hacking process (event generation) and the
-single-event detector (measurement noise) in the exact order of the
-batch per-slot loop, makes every detection decision identical.
+The batch scenario is the replay engine pumped to exhaustion, so this
+holds by construction; the tests pin that the checkpointable engine
+(``build_replay_engine``) and the batch entry point stay one world and
+one loop — one shared RNG interleaved between the hacking process and
+the single-event detector's measurement noise.
 """
 
 import numpy as np
