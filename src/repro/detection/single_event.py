@@ -33,7 +33,7 @@ from numpy.typing import ArrayLike, NDArray
 
 from repro.core.config import GameConfig, SolverConfig
 from repro.kernels import KernelBackend
-from repro.metrics.par import par, par_increase
+from repro.metrics.par import par_increase
 from repro.scheduling.batch import solve_games
 from repro.scheduling.game import Community, GameResult, SchedulingGame
 from repro.simulation.cache import (
@@ -133,16 +133,23 @@ class CommunityResponseSimulator:
 
     def response(self, prices: ArrayLike) -> GameResult:
         """Game solution for a posted price vector (memoized)."""
-        p = np.asarray(prices, dtype=float)
-        if p.shape != (self.horizon,):
-            raise ValueError(f"prices must have shape ({self.horizon},), got {p.shape}")
-        key = solution_key(self._context_key, p)
-        self._keys_seen.add(key)
-        result = self.cache.get_or_solve(
-            key, lambda: self._solve(p), community=self.community
-        )
-        self.cache.register_prices(self._context_key, np.maximum(p, 0.0), key)
-        return result
+        p = self._validated(prices)
+        return self._lookup(solution_key(self._context_key, p), p)
+
+    def responses(self, price_vectors: Iterable[ArrayLike]) -> list[GameResult]:
+        """Game solutions for many price vectors, one per vector, in order.
+
+        Equivalent to :meth:`prefetch` of the vectors followed by one
+        :meth:`response` per vector, with the same cache traffic: the
+        vectors without a cached solution are solved as one lockstep
+        batch, and every vector then books one lookup.  Byte-identical
+        vectors share one key hash.
+        """
+        keyed = self._keyed(price_vectors)
+        # Only the unsolved vectors go to prefetch, so on a warm cache it
+        # hashes nothing; their re-check there finds them still unsolved.
+        self.prefetch(self._unsolved(keyed).values())
+        return [self._lookup(key, p) for key, p in keyed]
 
     def prefetch(self, price_vectors: Iterable[ArrayLike]) -> int:
         """Solve every not-yet-cached price vector in one lockstep batch.
@@ -155,30 +162,13 @@ class CommunityResponseSimulator:
         match the sequential path (each batched solve books one miss, the
         later lookup one hit).
         """
-        pending: OrderedDict[str, NDArray[np.float64]] = OrderedDict()
-        for prices in price_vectors:
-            p = np.asarray(prices, dtype=float)
-            if p.shape != (self.horizon,):
-                raise ValueError(
-                    f"prices must have shape ({self.horizon},), got {p.shape}"
-                )
-            key = solution_key(self._context_key, p)
-            if key in pending:
-                continue
-            if self.cache.peek(key, community=self.community) is not None:
-                self.cache.register_prices(
-                    self._context_key, np.maximum(p, 0.0), key
-                )
-                continue
-            pending[key] = p
+        pending = self._unsolved(self._keyed(price_vectors))
         if not pending:
             return 0
         if not self.solver.batch_games or len(pending) == 1:
             for key, p in pending.items():
                 self.cache.put(key, self._solve(p), community=self.community)
-                self.cache.register_prices(
-                    self._context_key, np.maximum(p, 0.0), key
-                )
+                self._register(key, p)
             return len(pending)
         clamped = [np.maximum(p, 0.0) for p in pending.values()]
         warm_starts: Sequence[GameResult | None] = [
@@ -197,10 +187,63 @@ class CommunityResponseSimulator:
         )
         for (key, p), result in zip(pending.items(), results):
             self.cache.put(key, result, community=self.community)
-            self.cache.register_prices(
-                self._context_key, np.maximum(p, 0.0), key
-            )
+            self._register(key, p)
         return len(pending)
+
+    def _validated(self, prices: ArrayLike) -> NDArray[np.float64]:
+        p = np.asarray(prices, dtype=float)
+        if p.shape != (self.horizon,):
+            raise ValueError(f"prices must have shape ({self.horizon},), got {p.shape}")
+        return p
+
+    def _keyed(
+        self, price_vectors: Iterable[ArrayLike]
+    ) -> list[tuple[str, NDArray[np.float64]]]:
+        """Each validated vector with its solution key; byte-identical
+        vectors share one hash."""
+        keys: dict[bytes, str] = {}
+        keyed = []
+        for prices in price_vectors:
+            p = self._validated(prices)
+            raw = p.tobytes()
+            key = keys.get(raw)
+            if key is None:
+                key = keys[raw] = solution_key(self._context_key, p)
+            keyed.append((key, p))
+        return keyed
+
+    def _unsolved(
+        self, keyed: Iterable[tuple[str, NDArray[np.float64]]]
+    ) -> OrderedDict[str, NDArray[np.float64]]:
+        """The keyed vectors with no cached solution, by first occurrence.
+
+        Peeks every other vector in input order, which refreshes its LRU
+        position (and promotes it from the on-disk tier) without booking
+        a lookup.
+        """
+        pending: OrderedDict[str, NDArray[np.float64]] = OrderedDict()
+        for key, p in keyed:
+            if key in pending:
+                continue
+            if self.cache.peek(key, community=self.community) is not None:
+                self._register(key, p)
+                continue
+            pending[key] = p
+        return pending
+
+    def _lookup(self, key: str, p: NDArray[np.float64]) -> GameResult:
+        self._keys_seen.add(key)
+        result = self.cache.get_or_solve(
+            key, lambda: self._solve(p), community=self.community
+        )
+        self._register(key, p)
+        return result
+
+    def _register(self, key: str, p: NDArray[np.float64]) -> None:
+        """Index a solved vector for :meth:`_warm_start`, its only reader;
+        cold simulators skip it."""
+        if self.solver.warm_start:
+            self.cache.register_prices(self._context_key, np.maximum(p, 0.0), key)
 
     def _warm_start(self, clamped: NDArray[np.float64]) -> GameResult | None:
         """Nearest cached equilibrium usable as a warm start, if enabled."""
@@ -232,7 +275,7 @@ class CommunityResponseSimulator:
 
     def grid_par(self, prices: ArrayLike) -> float:
         """PAR of the grid demand the community would draw under ``prices``."""
-        return par(self.response(prices).grid_demand)
+        return self.response(prices).grid_par
 
 
 @dataclass(frozen=True)
@@ -344,8 +387,11 @@ class SingleEventDetector:
                 f"received prices shape {received.shape} != predicted "
                 f"{self.predicted_prices.shape}"
             )
+        return self._detection(self.simulator.response(received), noise)
+
+    def _detection(self, received: GameResult, noise: float) -> SingleEventDetection:
         return SingleEventDetection(
-            received_par=self.simulator.grid_par(received),
+            received_par=received.grid_par,
             predicted_par=self.predicted_par,
             threshold=self.threshold,
             noise=noise,
@@ -376,10 +422,11 @@ class SingleEventDetector:
 
         ``received_per_meter`` has shape ``(n_meters, horizon)``: row ``i``
         is the guideline-price vector meter ``i`` received.  Identical
-        rows reuse one cached game solution; the measurement noise is
-        drawn independently per meter, in ascending meter order — the
-        exact draw sequence of :meth:`observe_meters`, so collecting the
-        evidence never changes a verdict.
+        rows reuse one cached game solution and its memoized PAR; the
+        measurement noise is drawn independently per meter, in ascending
+        meter order — the exact draw sequence of :meth:`observe_meters`,
+        so collecting the evidence never changes a verdict.  The outcome
+        equals ``[check(row, rng=rng) for row in received_per_meter]``.
         """
         received = np.asarray(received_per_meter, dtype=float)
         if received.ndim != 2 or received.shape[1] != self.predicted_prices.size:
@@ -387,13 +434,13 @@ class SingleEventDetector:
                 f"received_per_meter must have shape (n_meters, "
                 f"{self.predicted_prices.size}), got {received.shape}"
             )
-        # Solve the distinct rows as one lockstep batch before the
-        # per-meter loop; every check below is then a cache hit.  The
-        # batch is bitwise-identical to solving inside the loop, and it
-        # consumes nothing from ``rng``, so the noise sequence is
-        # untouched.
-        self.simulator.prefetch(received[i] for i in range(received.shape[0]))
-        return [self.check(received[i], rng=rng) for i in range(received.shape[0])]
+        # The distinct unsolved rows are solved as one lockstep batch
+        # before any noise is drawn; the batch is bitwise-identical to
+        # solving inside the loop and consumes nothing from ``rng``.
+        return [
+            self._detection(result, self.draw_noise(rng))
+            for result in self.simulator.responses(received)
+        ]
 
     def observe_meters(
         self,

@@ -29,6 +29,7 @@ from numpy.typing import ArrayLike, NDArray
 
 from repro.core.config import GameConfig
 from repro.kernels import KernelBackend, get_backend
+from repro.metrics.par import par
 from repro.netmetering.cost import NetMeteringCostModel
 
 if TYPE_CHECKING:
@@ -88,13 +89,34 @@ class Community:
 
 @dataclass(frozen=True)
 class GameResult:
-    """Converged (or truncated) outcome of the scheduling game."""
+    """Converged (or truncated) outcome of the scheduling game.
+
+    A solved game is a frozen value that the solution cache hands to
+    every caller.  Its community aggregates are summed once, at
+    construction, and served as read-only arrays: copy one before
+    mutating it.  The PAR of the grid demand is computed on first read.
+    """
 
     states: tuple[CustomerState, ...]
     counts: tuple[int, ...]
     rounds: int
     converged: bool
     residuals: tuple[float, ...] = field(default=())
+    _load: NDArray[np.float64] = field(init=False, repr=False, compare=False)
+    _trading: NDArray[np.float64] = field(init=False, repr=False, compare=False)
+    _demand: NDArray[np.float64] = field(init=False, repr=False, compare=False)
+    _par: float | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        load = np.zeros(self.horizon)
+        trading = np.zeros(self.horizon)
+        for state, count in zip(self.states, self.counts):
+            load += count * state.load
+            trading += count * state.trading
+        demand = np.maximum(trading, 0.0)
+        for name, array in (("_load", load), ("_trading", trading), ("_demand", demand)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     @property
     def horizon(self) -> int:
@@ -102,24 +124,34 @@ class GameResult:
 
     @property
     def community_load(self) -> NDArray[np.float64]:
-        """Total consumption ``L_h = sum_n l_n^h`` per slot."""
-        total = np.zeros(self.horizon)
-        for state, count in zip(self.states, self.counts):
-            total += count * state.load
-        return total
+        """Total consumption ``L_h = sum_n l_n^h`` per slot (read-only)."""
+        return self._load
 
     @property
     def community_trading(self) -> NDArray[np.float64]:
-        """Total grid trading ``Y_h = sum_n y_n^h`` per slot."""
-        total = np.zeros(self.horizon)
-        for state, count in zip(self.states, self.counts):
-            total += count * state.trading
-        return total
+        """Total grid trading ``Y_h = sum_n y_n^h`` per slot (read-only)."""
+        return self._trading
 
+    # A plain property, not ``functools.cached_property``: the benchmark
+    # ledger (perfbench/ledger.py) re-wraps ``property.fget`` to time it.
     @property
     def grid_demand(self) -> NDArray[np.float64]:
-        """Energy purchased from the utility per slot (clamped at zero)."""
-        return np.maximum(self.community_trading, 0.0)
+        """Energy purchased from the utility per slot (clamped at zero,
+        read-only)."""
+        return self._demand
+
+    @property
+    def grid_par(self) -> float:
+        """PAR of :attr:`grid_demand`, computed on first read.
+
+        Raises ``ValueError`` on every read where :func:`par` does (a
+        zero-mean demand), so an invalid profile is never memoized.
+        """
+        value = self._par
+        if value is None:
+            value = par(self.grid_demand)
+            object.__setattr__(self, "_par", value)
+        return value
 
 
 class SchedulingGame:

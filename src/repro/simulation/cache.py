@@ -351,7 +351,9 @@ class GameSolutionCache:
 
         Builds the per-context price index that :meth:`nearest` scans.
         Prices are rounded exactly as :func:`solution_key` rounds them,
-        so one registration per distinct key suffices.
+        so one registration per distinct key suffices.  Entries outlive
+        LRU eviction until :meth:`nearest` prunes them, so register only
+        in a context that :meth:`nearest` is queried in.
         """
         index = self._price_index.setdefault(context_key, OrderedDict())
         if key not in index:
