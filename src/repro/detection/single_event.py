@@ -115,7 +115,6 @@ class CommunityResponseSimulator:
                 ce_std_scale=self.solver.ce_warm_std_scale,
                 max_distance=self.solver.warm_start_max_distance,
             )
-        self._keys_seen: set[str] = set()
 
     @property
     def horizon(self) -> int:
@@ -123,8 +122,9 @@ class CommunityResponseSimulator:
 
     @property
     def cache_size(self) -> int:
-        """Number of distinct price vectors this simulator has solved."""
-        return len(self._keys_seen)
+        """Solutions held by this simulator's cache; a shared cache counts
+        every simulator's entries."""
+        return self.cache.size
 
     @property
     def backend(self) -> KernelBackend | str | None:
@@ -232,7 +232,6 @@ class CommunityResponseSimulator:
         return pending
 
     def _lookup(self, key: str, p: NDArray[np.float64]) -> GameResult:
-        self._keys_seen.add(key)
         result = self.cache.get_or_solve(
             key, lambda: self._solve(p), community=self.community
         )

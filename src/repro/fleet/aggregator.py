@@ -2,8 +2,10 @@
 
 The :class:`FleetAggregator` is the multi-tenant twin of
 :class:`repro.service.app.DetectionService`: one lock-guarded fleet
-engine behind a threaded stdlib HTTP server, structured 4xx JSON for
-every client error, checkpoint-on-SIGTERM.
+engine behind the same HTTP front door.  One handler, two route tables:
+this module is the facade and its route table; the handler, the shared
+routes, the JSON error taxonomy and the checkpoint-on-SIGTERM serve loop
+are :mod:`repro.service.http`.
 
 Endpoints
 ---------
@@ -31,10 +33,8 @@ Endpoints
 
 from __future__ import annotations
 
-import json
-import signal
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import ThreadingHTTPServer
 from pathlib import Path
 from typing import Any
 
@@ -46,7 +46,18 @@ from repro.obs.prometheus import render_prometheus
 from repro.obs.scoreboard import ScoreboardPublisher
 from repro.obs.trace import TRACER
 from repro.perf.counters import PERF
-from repro.service.app import ServiceError, _int_field, _int_param, _TextResponse
+from repro.service.http import (
+    COMMON_ROUTES,
+    Query,
+    Route,
+    ServiceError,
+    check_fields,
+    int_field,
+    int_param,
+    make_server,
+    serve,
+    str_param,
+)
 
 
 class FleetAggregator:
@@ -189,145 +200,34 @@ class FleetAggregator:
         }
 
 
-class _FleetHandler(BaseHTTPRequestHandler):
-    """JSON-in/JSON-out routing onto the aggregator."""
+def _advance(aggregator: FleetAggregator, query: Query, body: dict[str, Any]) -> Any:
+    check_fields(body, "ticks", "until_day")
+    return aggregator.advance(
+        ticks=int_field(body, "ticks"), until_day=int_field(body, "until_day")
+    )
 
-    aggregator: FleetAggregator  # set by create_fleet_server()
 
-    def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
-        pass
-
-    def _respond(self, status: int, payload: dict[str, Any]) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self._send_body(status, body, "application/json")
-
-    def _respond_text(self, status: int, response: _TextResponse) -> None:
-        self._send_body(status, response.body.encode("utf-8"), response.content_type)
-
-    def _send_body(self, status: int, body: bytes, content_type: str) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _read_json(self) -> dict[str, Any]:
-        try:
-            length = int(self.headers.get("Content-Length") or 0)
-        except ValueError as exc:
-            raise ServiceError("invalid Content-Length header") from exc
-        if length == 0:
-            return {}
-        raw = self.rfile.read(length)
-        try:
-            payload = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ServiceError(f"request body is not valid JSON: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise ServiceError("request body must be a JSON object")
-        return payload
-
-    def _dispatch(self, method: str) -> None:
-        from urllib.parse import parse_qs, urlparse
-
-        parsed = urlparse(self.path)
-        query = parse_qs(parsed.query)
-        try:
-            payload = self._route(method, parsed.path, query)
-        except ServiceError as exc:
-            self._respond(400, {"error": str(exc), "code": exc.code, "status": 400})
-            return
-        except Exception as exc:  # pragma: no cover - defensive
-            self._respond(
-                500,
-                {
-                    "error": f"{type(exc).__name__}: {exc}",
-                    "code": "internal_error",
-                    "status": 500,
-                },
-            )
-            return
-        if payload is None:
-            self._respond(
-                404,
-                {
-                    "error": f"no route for {method} {parsed.path}",
-                    "code": "not_found",
-                    "status": 404,
-                },
-            )
-        elif isinstance(payload, _TextResponse):
-            self._respond_text(200, payload)
-        else:
-            self._respond(200, payload)
-
-    def _route(
-        self, method: str, path: str, query: dict[str, list[str]]
-    ) -> dict[str, Any] | _TextResponse | None:
-        aggregator = self.aggregator
-        if method == "GET":
-            if path == "/status":
-                return aggregator.status()
-            if path == "/shards":
-                return aggregator.shards()
-            if path == "/detections":
-                community_values = query.get("community")
-                return aggregator.detections(
-                    community=(
-                        None if not community_values else community_values[0]
-                    ),
-                    since=_int_param(query, "since", 0) or 0,
-                    limit=_int_param(query, "limit", None),
-                )
-            if path == "/metrics":
-                fmt = query.get("format", ["json"])[0]
-                if fmt == "prometheus":
-                    return _TextResponse(aggregator.metrics_prometheus())
-                if fmt != "json":
-                    raise ServiceError(
-                        f"format must be 'json' or 'prometheus', got {fmt!r}"
-                    )
-                return aggregator.metrics()
-            if path == "/scoreboard":
-                return aggregator.scoreboard()
-            if path == "/trace":
-                return aggregator.trace_chrome()
-            if path == "/healthz":
-                return {"ok": True}
-            return None
-        if method == "POST":
-            if path == "/advance":
-                body = self._read_json()
-                unknown = set(body) - {"ticks", "until_day"}
-                if unknown:
-                    raise ServiceError(f"unknown fields: {sorted(unknown)}")
-                return aggregator.advance(
-                    ticks=_int_field(body, "ticks"),
-                    until_day=_int_field(body, "until_day"),
-                )
-            if path == "/envelope":
-                return aggregator.ingest_envelope(self._read_json())
-            if path == "/checkpoint":
-                body = self._read_json()
-                if body:
-                    raise ServiceError(f"unknown fields: {sorted(body)}")
-                return aggregator.checkpoint()
-            return None
-        return None
-
-    def do_GET(self) -> None:  # noqa: N802 (http.server API)
-        self._dispatch("GET")
-
-    def do_POST(self) -> None:  # noqa: N802 (http.server API)
-        self._dispatch("POST")
+_ROUTES: dict[tuple[str, str], Route] = {
+    **COMMON_ROUTES,
+    ("GET", "/shards"): lambda aggregator, query, body: aggregator.shards(),
+    ("GET", "/detections"): lambda aggregator, query, body: aggregator.detections(
+        community=str_param(query, "community"),
+        since=int_param(query, "since") or 0,
+        limit=int_param(query, "limit"),
+    ),
+    ("GET", "/trace"): lambda aggregator, query, body: aggregator.trace_chrome(),
+    ("POST", "/advance"): _advance,
+    ("POST", "/envelope"): lambda aggregator, query, body: (
+        aggregator.ingest_envelope(body)
+    ),
+}
 
 
 def create_fleet_server(
     aggregator: FleetAggregator, *, host: str = "127.0.0.1", port: int = 8010
 ) -> ThreadingHTTPServer:
     """Bind a threaded HTTP server to the aggregator (port 0 = ephemeral)."""
-    handler = type("BoundFleetHandler", (_FleetHandler,), {"aggregator": aggregator})
-    return ThreadingHTTPServer((host, port), handler)
+    return make_server(aggregator, _ROUTES, host=host, port=port)
 
 
 def run_fleet_service(
@@ -339,17 +239,6 @@ def run_fleet_service(
 ) -> None:
     """Serve forever; checkpoint and exit cleanly on SIGTERM/SIGINT."""
     server = create_fleet_server(aggregator, host=host, port=port)
-
-    def _shutdown(signum: int, frame: Any) -> None:
-        if aggregator.checkpoint_dir is not None:
-            aggregator.checkpoint()
-        # shutdown() must come from another thread; serve_forever() is
-        # blocking this one via the signal-interrupted frame.
-        threading.Thread(target=server.shutdown, daemon=True).start()
-
-    if install_signals:
-        signal.signal(signal.SIGTERM, _shutdown)
-        signal.signal(signal.SIGINT, _shutdown)
     configure_logging()
     logger = get_logger("fleet.service")
     bound_host, bound_port = server.server_address[0], server.server_address[1]
@@ -360,9 +249,11 @@ def run_fleet_service(
         aggregator.fleet.n_communities,
         len(aggregator.fleet.shard_ids),
     )
-    try:
-        server.serve_forever()
-    finally:
-        server.server_close()
-    if aggregator.checkpoint_dir is not None:
-        logger.info("fleet checkpoint saved to %s", aggregator.checkpoint_dir)
+    saved = aggregator.checkpoint_dir
+    serve(
+        server,
+        checkpoint=None if saved is None else aggregator.checkpoint,
+        install_signals=install_signals,
+    )
+    if saved is not None:
+        logger.info("fleet checkpoint saved to %s", saved)

@@ -31,7 +31,7 @@ from repro.obs.trace import TRACER, TraceContext
 from repro.perf.counters import PERF
 from repro.simulation.cache import GameSolutionCache
 from repro.simulation.scenario import DetectorKind
-from repro.stream.events import event_from_dict
+from repro.stream.events import PriceUpdate, event_from_dict
 from repro.stream.pipeline import StreamEngine, build_synthetic_engine
 from repro.stream.source import synthetic_attack_script
 
@@ -358,7 +358,11 @@ class FleetEngine:
         Entries are processed in list order; each event is routed via
         the ring to its community's pipeline (the external-feed analogue
         of a lockstep tick).  The whole envelope is validated before any
-        entry is applied, so a malformed envelope is rejected atomically.
+        entry is applied, so an envelope with any entry its pipeline would
+        refuse (:meth:`~repro.stream.pipeline.OnlinePipeline.check_event`)
+        is rejected atomically.  A reading is acceptable when its
+        community is already bound to a day, or an earlier entry of the
+        same envelope binds it.
 
         The optional ``trace`` field is a propagated
         :class:`~repro.obs.trace.TraceContext`: when the sender's run id
@@ -379,6 +383,7 @@ class FleetEngine:
         if not isinstance(entries, list):
             raise ValueError("envelope must carry a list field 'entries'")
         parsed = []
+        binding: set[str] = set()  # communities an earlier entry binds
         for index, entry in enumerate(entries):
             if not isinstance(entry, Mapping):
                 raise ValueError(f"entry {index} is not an object")
@@ -396,6 +401,12 @@ class FleetEngine:
             except (KeyError, ValueError, TypeError) as exc:
                 raise ValueError(f"entry {index}: bad event: {exc}") from exc
             worker = self.worker_of(cid)
+            try:
+                worker.engine(cid).pipeline.check_event(event, bound=cid in binding)
+            except (ValueError, RuntimeError) as exc:
+                raise ValueError(f"entry {index}: {exc}") from exc
+            if isinstance(event, PriceUpdate):
+                binding.add(cid)
             parsed.append((cid, worker, event))
         parent_id = (
             context.span_id

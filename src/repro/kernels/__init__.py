@@ -5,8 +5,7 @@ layers resolve one through :func:`get_backend`.  Resolution order for
 the default (``None`` or ``"auto"``):
 
 1. the ``REPRO_BACKEND`` environment variable, when set;
-2. the fastest registered accelerated backend (``numba`` when
-   importable, else the ``fused`` numpy variant).
+2. the ``fused`` numpy variant.
 
 Every registered backend is bitwise-identical to ``reference`` on
 pipeline inputs (see :mod:`repro.kernels.base`), so backend choice never
@@ -26,7 +25,6 @@ import os
 
 from repro.kernels.base import KernelBackend
 from repro.kernels.fused import FusedBackend
-from repro.kernels.numba_backend import NUMBA_AVAILABLE
 from repro.kernels.reference import ReferenceBackend
 
 __all__ = [
@@ -51,18 +49,12 @@ def available_backends() -> tuple[str, ...]:
     return tuple(_REGISTRY)
 
 
-def _auto_backend() -> KernelBackend:
-    if "numba" in _REGISTRY:
-        return _REGISTRY["numba"]
-    return _REGISTRY["fused"]
-
-
 def get_backend(name: str | KernelBackend | None = None) -> KernelBackend:
     """Resolve a backend by name.
 
     ``None`` and ``"auto"`` defer to ``REPRO_BACKEND`` and then to
-    auto-detection; an already-constructed backend passes through, so
-    call sites can accept either form.
+    ``fused``; an already-constructed backend passes through, so call
+    sites can accept either form.
     """
     if name is not None and not isinstance(name, str):
         return name
@@ -71,7 +63,7 @@ def get_backend(name: str | KernelBackend | None = None) -> KernelBackend:
         if env and env != "auto":
             name = env
         else:
-            return _auto_backend()
+            return _REGISTRY["fused"]
     backend = _REGISTRY.get(name)
     if backend is None:
         raise ValueError(
@@ -82,7 +74,3 @@ def get_backend(name: str | KernelBackend | None = None) -> KernelBackend:
 
 register_backend(ReferenceBackend())
 register_backend(FusedBackend())
-if NUMBA_AVAILABLE:  # pragma: no cover - exercised only where numba is installed
-    from repro.kernels.numba_backend import NumbaBackend
-
-    register_backend(NumbaBackend())

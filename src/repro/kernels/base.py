@@ -6,8 +6,8 @@ trajectory set, scoring those populations under the quadratic
 net-metering tariff, and the backward dynamic program over appliance
 power levels.  This module defines the :class:`KernelBackend` protocol
 those kernels are routed through, so alternative implementations (a
-fused numpy variant, an optional numba JIT, a future C extension) can be
-swapped in via configuration without touching the solver logic.
+fused numpy variant, a future C extension) can be swapped in via
+configuration without touching the solver logic.
 
 Bitwise contract
 ----------------

@@ -6,6 +6,12 @@ Stdlib-only (``http.server``) so the reproduction stays dependency-free:
 :func:`~repro.service.app.create_server` exposes it as a small JSON API
 (``POST /events``, ``POST /advance``, ``GET /status``,
 ``GET /detections``, ``GET /metrics``) with checkpoint-on-SIGTERM.
+
+One handler, two route tables: :mod:`repro.service.http` is the one
+HTTP front door — handler, shared routes, error taxonomy and serve
+loop — for this service and for the fleet aggregator
+(:mod:`repro.fleet.aggregator`), each of which is a facade plus its own
+route table.
 """
 
 from repro.service.app import (

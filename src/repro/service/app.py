@@ -31,9 +31,9 @@ Endpoints
   live service).
 - ``GET /healthz`` — liveness.
 
-Malformed requests never surface as 500s: every client error is a
-structured JSON body ``{"error": ..., "code": ..., "status": ...}``
-with the matching 4xx status.
+One handler, two route tables: this module is the facade and its route
+table; the handler, the shared routes, the JSON error taxonomy (no
+client input gets a 5xx) and the serve loop are :mod:`repro.service.http`.
 
 On SIGTERM/SIGINT the service checkpoints the engine (atomic rename, see
 :mod:`repro.stream.checkpoint`) before shutting down, so a killed
@@ -42,13 +42,10 @@ service resumes bitwise-identically with ``--resume``.
 
 from __future__ import annotations
 
-import json
-import signal
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import ThreadingHTTPServer
 from pathlib import Path
 from typing import Any
-from urllib.parse import parse_qs, urlparse
 
 from repro.core.config import RetryPolicy
 from repro.faults.plan import FaultPlan, FaultPlanError, builtin_plan
@@ -58,17 +55,21 @@ from repro.obs.manifest import build_manifest
 from repro.obs.prometheus import render_prometheus
 from repro.obs.scoreboard import ScoreboardPublisher, attach_scoreboard
 from repro.perf.counters import PERF
+from repro.service.http import (
+    COMMON_ROUTES,
+    Query,
+    Route,
+    ServiceError,
+    check_fields,
+    int_field,
+    int_param,
+    make_server,
+    serve,
+    str_param,
+)
 from repro.stream.checkpoint import save_checkpoint
 from repro.stream.events import MeterReading, event_from_dict
 from repro.stream.pipeline import StreamEngine
-
-
-class ServiceError(ValueError):
-    """A client error the handler maps to a structured 4xx response."""
-
-    def __init__(self, message: str, *, code: str = "bad_request") -> None:
-        super().__init__(message)
-        self.code = code
 
 
 class DetectionService:
@@ -294,12 +295,10 @@ class DetectionService:
 
     def install_faults(self, payload: dict[str, Any]) -> dict[str, Any]:
         """Install a fault plan (builtin name or plan object) on the source."""
-        unknown = set(payload) - {"plan", "seed"}
-        if unknown:
-            raise ServiceError(f"unknown fields: {sorted(unknown)}")
+        check_fields(payload, "plan", "seed")
         if "plan" not in payload:
             raise ServiceError("missing required field 'plan'")
-        seed = _int_field(payload, "seed")
+        seed = int_field(payload, "seed")
         spec = payload["plan"]
         try:
             if isinstance(spec, str):
@@ -327,186 +326,37 @@ class DetectionService:
         return {"checkpoint": str(path), "events_processed": events_processed}
 
 
-class _TextResponse:
-    """Marker for routes that answer plain text instead of JSON."""
-
-    def __init__(self, body: str, *, content_type: str = "text/plain; version=0.0.4") -> None:
-        self.body = body
-        self.content_type = content_type
-
-
-class _Handler(BaseHTTPRequestHandler):
-    """Routes HTTP verbs/paths onto the service; JSON in, JSON out
-    (except routes that return a :class:`_TextResponse`)."""
-
-    service: DetectionService  # set by create_server()
-
-    # Silence per-request stderr logging; the service is often run under
-    # pytest or as a background process.
-    def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
-        pass
-
-    def _respond(self, status: int, payload: dict[str, Any]) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self._send_body(status, body, "application/json")
-
-    def _respond_text(self, status: int, response: _TextResponse) -> None:
-        self._send_body(
-            status, response.body.encode("utf-8"), response.content_type
-        )
-
-    def _send_body(self, status: int, body: bytes, content_type: str) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _read_json(self) -> dict[str, Any]:
-        try:
-            length = int(self.headers.get("Content-Length") or 0)
-        except ValueError as exc:
-            raise ServiceError("invalid Content-Length header") from exc
-        if length == 0:
-            return {}
-        raw = self.rfile.read(length)
-        try:
-            payload = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ServiceError(f"request body is not valid JSON: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise ServiceError("request body must be a JSON object")
-        return payload
-
-    def _dispatch(self, method: str) -> None:
-        parsed = urlparse(self.path)
-        query = parse_qs(parsed.query)
-        try:
-            payload = self._route(method, parsed.path, query)
-        except ServiceError as exc:
-            self._respond(
-                400, {"error": str(exc), "code": exc.code, "status": 400}
-            )
-            return
-        except Exception as exc:  # pragma: no cover - defensive
-            self._respond(
-                500,
-                {
-                    "error": f"{type(exc).__name__}: {exc}",
-                    "code": "internal_error",
-                    "status": 500,
-                },
-            )
-            return
-        if payload is None:
-            self._respond(
-                404,
-                {
-                    "error": f"no route for {method} {parsed.path}",
-                    "code": "not_found",
-                    "status": 404,
-                },
-            )
-        elif isinstance(payload, _TextResponse):
-            self._respond_text(200, payload)
-        else:
-            self._respond(200, payload)
-
-    def _route(
-        self, method: str, path: str, query: dict[str, list[str]]
-    ) -> dict[str, Any] | _TextResponse | None:
-        service = self.service
-        if method == "GET":
-            if path == "/status":
-                return service.status()
-            if path == "/detections":
-                return service.detections(
-                    since=_int_param(query, "since", 0),
-                    limit=_int_param(query, "limit", None),
-                )
-            if path == "/metrics":
-                fmt = query.get("format", ["json"])[0]
-                if fmt == "prometheus":
-                    return _TextResponse(service.metrics_prometheus())
-                if fmt != "json":
-                    raise ServiceError(
-                        f"format must be 'json' or 'prometheus', got {fmt!r}"
-                    )
-                return service.metrics()
-            if path == "/trace":
-                kind_values = query.get("kind")
-                return service.trace(
-                    since=_int_param(query, "since", 0) or 0,
-                    day=_int_param(query, "day", None),
-                    kind=None if not kind_values else kind_values[0],
-                    limit=_int_param(query, "limit", None),
-                )
-            if path == "/scoreboard":
-                return service.scoreboard()
-            if path == "/faults":
-                return service.faults()
-            if path == "/healthz":
-                return {"ok": True}
-            return None
-        if method == "POST":
-            if path == "/events":
-                return service.push_event(self._read_json())
-            if path == "/advance":
-                body = self._read_json()
-                unknown = set(body) - {"max_events", "until_day"}
-                if unknown:
-                    raise ServiceError(f"unknown fields: {sorted(unknown)}")
-                return service.advance(
-                    max_events=_int_field(body, "max_events"),
-                    until_day=_int_field(body, "until_day"),
-                )
-            if path == "/faults":
-                return service.install_faults(self._read_json())
-            if path == "/checkpoint":
-                body = self._read_json()  # drain + validate (body must be empty JSON)
-                if body:
-                    raise ServiceError(f"unknown fields: {sorted(body)}")
-                return service.checkpoint()
-            return None
-        return None
-
-    def do_GET(self) -> None:  # noqa: N802 (http.server API)
-        self._dispatch("GET")
-
-    def do_POST(self) -> None:  # noqa: N802 (http.server API)
-        self._dispatch("POST")
+def _advance(service: DetectionService, query: Query, body: dict[str, Any]) -> Any:
+    check_fields(body, "max_events", "until_day")
+    return service.advance(
+        max_events=int_field(body, "max_events"),
+        until_day=int_field(body, "until_day"),
+    )
 
 
-def _int_param(
-    query: dict[str, list[str]], name: str, default: int | None
-) -> int | None:
-    values = query.get(name)
-    if not values:
-        return default
-    try:
-        return int(values[0])
-    except ValueError as exc:
-        raise ServiceError(f"query parameter {name!r} must be an integer") from exc
-
-
-def _int_field(body: dict[str, Any], name: str) -> int | None:
-    value = body.get(name)
-    if value is None:
-        return None
-    # Strict: JSON true/1.5/"3" are not integers for this API.
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ServiceError(f"field {name!r} must be an integer")
-    if isinstance(value, float) and not value.is_integer():
-        raise ServiceError(f"field {name!r} must be an integer")
-    return int(value)
+_ROUTES: dict[tuple[str, str], Route] = {
+    **COMMON_ROUTES,
+    ("GET", "/detections"): lambda service, query, body: service.detections(
+        since=int_param(query, "since") or 0, limit=int_param(query, "limit")
+    ),
+    ("GET", "/trace"): lambda service, query, body: service.trace(
+        since=int_param(query, "since") or 0,
+        day=int_param(query, "day"),
+        kind=str_param(query, "kind"),
+        limit=int_param(query, "limit"),
+    ),
+    ("GET", "/faults"): lambda service, query, body: service.faults(),
+    ("POST", "/events"): lambda service, query, body: service.push_event(body),
+    ("POST", "/advance"): _advance,
+    ("POST", "/faults"): lambda service, query, body: service.install_faults(body),
+}
 
 
 def create_server(
     service: DetectionService, *, host: str = "127.0.0.1", port: int = 8008
 ) -> ThreadingHTTPServer:
     """Bind a threaded HTTP server to the service (port 0 = ephemeral)."""
-    handler = type("BoundHandler", (_Handler,), {"service": service})
-    return ThreadingHTTPServer((host, port), handler)
+    return make_server(service, _ROUTES, host=host, port=port)
 
 
 def run_service(
@@ -518,24 +368,15 @@ def run_service(
 ) -> None:
     """Serve forever; checkpoint and exit cleanly on SIGTERM/SIGINT."""
     server = create_server(service, host=host, port=port)
-
-    def _shutdown(signum: int, frame: Any) -> None:
-        if service.checkpoint_path is not None:
-            service.checkpoint()
-        # shutdown() must come from another thread; serve_forever() is
-        # blocking this one via the signal-interrupted frame.
-        threading.Thread(target=server.shutdown, daemon=True).start()
-
-    if install_signals:
-        signal.signal(signal.SIGTERM, _shutdown)
-        signal.signal(signal.SIGINT, _shutdown)
     configure_logging()
     logger = get_logger("service")
     bound_host, bound_port = server.server_address[0], server.server_address[1]
     logger.info("serving detection API on http://%s:%s", bound_host, bound_port)
-    try:
-        server.serve_forever()
-    finally:
-        server.server_close()
-    if service.checkpoint_path is not None:
-        logger.info("checkpoint saved to %s", service.checkpoint_path)
+    saved = service.checkpoint_path
+    serve(
+        server,
+        checkpoint=None if saved is None else service.checkpoint,
+        install_signals=install_signals,
+    )
+    if saved is not None:
+        logger.info("checkpoint saved to %s", saved)

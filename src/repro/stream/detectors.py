@@ -70,14 +70,30 @@ class IncrementalSingleEvent:
         price update)."""
         return self._day
 
+    def check_day(self, update: PriceUpdate) -> None:
+        """Raise the ``ValueError`` binding ``update`` would, binding
+        nothing: a day outside the prebuilt range, or prices of the wrong
+        horizon or not finite (the day's games cannot be solved)."""
+        if self.prebuilt is not None and not 0 <= update.day < len(self.prebuilt):
+            raise ValueError(
+                f"day {update.day} outside prebuilt range [0, {len(self.prebuilt)})"
+            )
+        horizon = self.truth_simulator.horizon
+        if update.predicted_prices.shape != (horizon,):
+            raise ValueError(
+                f"predicted_prices must have shape ({horizon},), "
+                f"got {update.predicted_prices.shape}"
+            )
+        if not (
+            np.isfinite(update.clean_prices).all()
+            and np.isfinite(update.predicted_prices).all()
+        ):
+            raise ValueError("price_update prices must be finite")
+
     def start_day(self, update: PriceUpdate) -> None:
         """Bind to a new day's predicted prices."""
+        self.check_day(update)
         if self.prebuilt is not None:
-            if not 0 <= update.day < len(self.prebuilt):
-                raise ValueError(
-                    f"day {update.day} outside prebuilt range "
-                    f"[0, {len(self.prebuilt)})"
-                )
             self._detector = self.prebuilt[update.day]
         else:
             self._detector = SingleEventDetector(

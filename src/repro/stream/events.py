@@ -131,20 +131,24 @@ class MeterReading:
         """The prices the homes responded to (``actual`` or the report)."""
         return self.received if self.actual is None else self.actual
 
-    def validation_error(self, *, horizon: int | None = None) -> str | None:
+    def validation_error(
+        self, *, horizon: int | None = None, max_meters: int | None = None
+    ) -> str | None:
         """Why this reading is unusable, or ``None`` when well-formed.
 
         Catches the field corruption a wire can introduce — non-finite
-        or negative prices, horizon mismatch — without raising, so the
-        gap-tolerant pipeline can degrade instead of crash.  Structural
-        errors (shape, negative slot) are still rejected eagerly by
-        ``__post_init__``.
+        or negative prices, horizon mismatch, more meters than the
+        monitor scores — without raising, so the gap-tolerant pipeline
+        can degrade instead of crash.  Structural errors (shape,
+        negative slot) are still rejected eagerly by ``__post_init__``.
         """
         if horizon is not None and self.received.shape[1] != horizon:
             return (
                 f"received horizon {self.received.shape[1]} != "
                 f"active day horizon {horizon}"
             )
+        if max_meters is not None and self.n_meters > max_meters:
+            return f"{self.n_meters} meters reported, {max_meters} monitored"
         if not bool(np.isfinite(self.received).all()):
             return "received contains non-finite prices"
         if bool((self.received < 0.0).any()):
@@ -252,12 +256,24 @@ def event_to_dict(event: StreamEvent) -> dict[str, Any]:
 
 
 def event_from_dict(payload: dict[str, Any]) -> StreamEvent:
-    """Rebuild an event from its JSON representation."""
+    """Rebuild an event from its JSON representation.
+
+    A malformed payload raises ``KeyError``, ``TypeError`` or
+    ``ValueError`` — the last also for a JSON ``Infinity`` where an
+    integer belongs.
+    """
     kind = payload.get("type")
     if kind not in _EVENT_TYPES:
         raise ValueError(
             f"unknown event type {kind!r} (expected one of {sorted(_EVENT_TYPES)})"
         )
+    try:
+        return _build_event(kind, payload)
+    except OverflowError as exc:
+        raise ValueError(str(exc)) from exc
+
+
+def _build_event(kind: str, payload: dict[str, Any]) -> StreamEvent:
     if kind == "price_update":
         return PriceUpdate(
             day=int(payload["day"]),

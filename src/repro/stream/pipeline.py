@@ -271,14 +271,38 @@ class OnlinePipeline:
         return stats
 
     # ------------------------------------------------------------------
+    def check_event(self, event: StreamEvent, *, bound: bool = False) -> None:
+        """Raise what :meth:`handle` would raise for ``event``, changing
+        nothing; :meth:`handle` runs it before anything else.
+
+        ``bound`` says an earlier event of the same batch binds a day, so
+        a reading is acceptable before this pipeline's first update.
+        """
+        if isinstance(event, PriceUpdate):
+            self.single_event.check_day(event)
+        elif isinstance(event, MeterReading):
+            if self._current_update is None and not bound:
+                raise RuntimeError(
+                    "no active day: a PriceUpdate must precede the first MeterReading"
+                )
+        elif not isinstance(event, (DayBoundary, AttackOccurrence)):
+            raise TypeError(f"not a stream event: {type(event).__name__}")
+
     def handle(self, event: StreamEvent) -> SlotDetection | None:
         """Fold one event into the pipeline state.
 
-        Robustness contract: once a first day is bound, no event — stale,
-        early, duplicated, or field-corrupted — raises.  Unusable slots
-        become explicit gap markers in the timeline instead, so a faulted
-        stream degrades without ever crashing the pump loop.
+        Robustness contract: an event is either refused before it changes
+        any state, or folded in without raising.  Three kinds are refused
+        (see :meth:`check_event`): a price update the day's detector
+        cannot bind (``ValueError``: a day outside a replay's prebuilt
+        range, prices of the wrong horizon or not finite), a reading before
+        the first price update (``RuntimeError``) and a non-event
+        (``TypeError``).  Every other event — stale, early, duplicated or
+        field-corrupted — is folded in: unusable slots become explicit
+        gap markers in the timeline, so a faulted stream degrades without
+        ever crashing the pump loop.
         """
+        self.check_event(event)
         PERF.add("stream.events")
         if isinstance(event, PriceUpdate):
             current = self.current_day
@@ -319,19 +343,16 @@ class OnlinePipeline:
             if self.scoreboard is not None:
                 self.scoreboard.record_occurrence(self._occurrences[-1])
             return None
-        if isinstance(event, MeterReading):
-            return self._handle_reading(event)
-        raise TypeError(f"not a stream event: {type(event).__name__}")
+        assert isinstance(event, MeterReading)
+        return self._handle_reading(event)
 
     def _handle_reading(self, reading: MeterReading) -> SlotDetection | None:
-        if self._current_update is None:
-            raise RuntimeError(
-                "no active day: a PriceUpdate must precede the first MeterReading"
-            )
+        assert self._current_update is not None
         day_start = self._current_update.day * self.slots_per_day
         day_end = day_start + self.slots_per_day
         error = reading.validation_error(
-            horizon=int(self._current_update.clean_prices.size)
+            horizon=int(self._current_update.clean_prices.size),
+            max_meters=None if self.monitor is None else self.monitor.n_meters,
         )
         if error is not None:
             PERF.add("stream.faults.rejected")
