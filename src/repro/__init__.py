@@ -28,7 +28,12 @@ The package is organized as one subpackage per subsystem:
   structured logging, run manifests and the detection audit trail.
 - :mod:`repro.data` -- synthetic pricing, solar and appliance generators.
 - :mod:`repro.metrics` -- PAR, accuracy, labor-cost and error metrics.
+
+:class:`DetectionFramework` and :class:`FrameworkResult` resolve on first
+use, as in :mod:`repro.core`, so importing the package loads no numpy.
 """
+
+from typing import TYPE_CHECKING
 
 from repro.core.config import (
     BatteryConfig,
@@ -39,7 +44,9 @@ from repro.core.config import (
     SolarConfig,
     TimeGrid,
 )
-from repro.core.framework import DetectionFramework, FrameworkResult
+
+if TYPE_CHECKING:
+    from repro.core.framework import DetectionFramework, FrameworkResult
 
 __all__ = [
     "BatteryConfig",
@@ -54,3 +61,11 @@ __all__ = [
 ]
 
 __version__ = "1.1.0"
+
+
+def __getattr__(name: str) -> object:
+    if name in ("DetectionFramework", "FrameworkResult"):
+        from repro.core import framework
+
+        return getattr(framework, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,4 +1,12 @@
-"""Core configuration and the integrated detection framework facade."""
+"""Core configuration and the integrated detection framework facade.
+
+:class:`DetectionFramework` and :class:`FrameworkResult` resolve on first
+use (PEP 562): the framework imports the whole detection stack and
+numpy, which tools that never run a detector, such as ``repro-lint``,
+do not need.
+"""
+
+from typing import TYPE_CHECKING
 
 from repro.core.config import (
     BatteryConfig,
@@ -10,12 +18,14 @@ from repro.core.config import (
     SolarConfig,
     TimeGrid,
 )
-from repro.core.framework import DetectionFramework, FrameworkResult
 from repro.core.presets import (
     bench_preset,
     paper_preset,
     smoke_preset,
 )
+
+if TYPE_CHECKING:
+    from repro.core.framework import DetectionFramework, FrameworkResult
 
 __all__ = [
     "BatteryConfig",
@@ -32,3 +42,11 @@ __all__ = [
     "paper_preset",
     "smoke_preset",
 ]
+
+
+def __getattr__(name: str) -> object:
+    if name in ("DetectionFramework", "FrameworkResult"):
+        from repro.core import framework
+
+        return getattr(framework, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

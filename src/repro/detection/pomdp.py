@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy import stats
 
 MONITOR = 0
 """Action index: ignore the alarm and keep monitoring (the paper's a_0)."""
@@ -101,7 +100,8 @@ class PomdpModel:
 def _snap_probability(p: float) -> float:
     """Snap subnormal-magnitude probabilities to exact 0/1.
 
-    ``scipy.stats.binom.pmf`` overflows internally on denormalized
+    Boost's binomial PMF (the ufunc ``scipy.special._ufuncs._binom_pmf``
+    behind :func:`_binomial_pmf`) overflows internally on denormalized
     probabilities (e.g. 1e-309); rates that close to the boundary are
     indistinguishable from the boundary anyway.
     """
@@ -110,6 +110,29 @@ def _snap_probability(p: float) -> float:
     if p > 1.0 - 1e-12:
         return 1.0
     return p
+
+
+def _binomial_pmf(n: int, p: float) -> NDArray[np.float64]:
+    """``Binom(n, p)`` probabilities of ``0..n``, bit for bit
+    ``scipy.stats.binom.pmf(arange(n + 1), n, p)``.
+
+    That function evaluates Boost's binomial PMF through the private
+    ufunc ``scipy.special._ufuncs._binom_pmf`` and clips the result to
+    [0, 1].  Calling the ufunc directly keeps those bits without
+    importing ``scipy.stats``, the largest import of a cold process
+    (docs/PERFORMANCE.md, "Start-up and resident memory"); a
+    hand-written ``comb(n, k) p^k (1-p)^(n-k)`` would move bits.  SciPy
+    is imported here, at the first POMDP build, never at module import,
+    and a SciPy without the private ufunc falls back to ``scipy.stats``.
+    """
+    k = np.arange(n + 1)
+    try:
+        from scipy.special._ufuncs import _binom_pmf
+    except ImportError:  # the ufunc is private: fall back to the public API
+        from scipy import stats
+
+        return stats.binom.pmf(k, n, p)
+    return np.clip(_binom_pmf(k, n, p), 0, 1)
 
 
 def _flag_count_pmf(
@@ -121,9 +144,7 @@ def _flag_count_pmf(
     """PMF of the flagged-meter count: Binom(s, d) + Binom(n - s, f)."""
     tp = _snap_probability(tp_rate)
     fp = _snap_probability(fp_rate)
-    hacked_pmf = stats.binom.pmf(np.arange(n_hacked + 1), n_hacked, tp)
-    clean_pmf = stats.binom.pmf(np.arange(n_clean + 1), n_clean, fp)
-    return np.convolve(hacked_pmf, clean_pmf)
+    return np.convolve(_binomial_pmf(n_hacked, tp), _binomial_pmf(n_clean, fp))
 
 
 def build_detection_pomdp(
@@ -172,12 +193,9 @@ def build_detection_pomdp(
 
     transitions = np.zeros((2, n_states, n_states))
     for s in range(n_states):
-        clean = n_meters - s
-        growth = stats.binom.pmf(np.arange(clean + 1), clean, hack_probability)
-        transitions[MONITOR, s, s : s + clean + 1] = growth
-        # Repair fixes everything, then fresh compromises accrue from zero.
-        from_zero = stats.binom.pmf(np.arange(n_meters + 1), n_meters, hack_probability)
-        transitions[REPAIR, s, :] = from_zero
+        transitions[MONITOR, s, s:] = _binomial_pmf(n_meters - s, hack_probability)
+    # Repair fixes everything, then fresh compromises accrue from zero.
+    transitions[REPAIR] = _binomial_pmf(n_meters, hack_probability)
 
     observations = np.zeros((2, n_states, n_states))
     for s in range(n_states):

@@ -31,7 +31,7 @@ from repro.detection.single_event import (
     SingleEventDetector,
 )
 from repro.prediction.price import AwarePricePredictor, UnawarePricePredictor
-from repro.stream.events import MeterReading, PriceUpdate
+from repro.stream.events import DayBoundary, MeterReading, PriceUpdate
 
 
 class IncrementalSingleEvent:
@@ -45,6 +45,10 @@ class IncrementalSingleEvent:
     - **live** — detectors are constructed on the fly from the day's
       predicted prices against the provided community simulators, which
       is what the synthetic source and the HTTP push path use.
+
+    ``n_days`` bounds the days a live stream may bind (the world's
+    configured days); a replay's bound is its prebuilt range.  ``None``
+    leaves a live stream unbounded.
     """
 
     def __init__(
@@ -55,12 +59,14 @@ class IncrementalSingleEvent:
         threshold: float = 0.10,
         margin_noise_std: float = 0.03,
         prebuilt: Sequence[SingleEventDetector] | None = None,
+        n_days: int | None = None,
     ) -> None:
         self.truth_simulator = truth_simulator
         self.predicted_simulator = predicted_simulator
         self.threshold = threshold
         self.margin_noise_std = margin_noise_std
         self.prebuilt = tuple(prebuilt) if prebuilt is not None else None
+        self.n_days = len(self.prebuilt) if self.prebuilt is not None else n_days
         self._detector: SingleEventDetector | None = None
         self._day: int | None = None
 
@@ -70,23 +76,26 @@ class IncrementalSingleEvent:
         price update)."""
         return self._day
 
-    def check_day(self, update: PriceUpdate) -> None:
-        """Raise the ``ValueError`` binding ``update`` would, binding
-        nothing: a day outside the prebuilt range, or prices of the wrong
-        horizon or not finite (the day's games cannot be solved)."""
-        if self.prebuilt is not None and not 0 <= update.day < len(self.prebuilt):
-            raise ValueError(
-                f"day {update.day} outside prebuilt range [0, {len(self.prebuilt)})"
-            )
+    def check_day(self, event: PriceUpdate | DayBoundary) -> None:
+        """Raise the ``ValueError`` binding ``event`` would, binding
+        nothing: a day outside the stream's days (the prebuilt range, or
+        ``n_days``), or prices of the wrong horizon or not finite (the
+        day's games cannot be solved).  A day boundary is checked for its
+        day alone."""
+        if self.n_days is not None and not 0 <= event.day < self.n_days:
+            days = "prebuilt range" if self.prebuilt is not None else "configured days"
+            raise ValueError(f"day {event.day} outside {days} [0, {self.n_days})")
+        if isinstance(event, DayBoundary):
+            return
         horizon = self.truth_simulator.horizon
-        if update.predicted_prices.shape != (horizon,):
+        if event.predicted_prices.shape != (horizon,):
             raise ValueError(
                 f"predicted_prices must have shape ({horizon},), "
-                f"got {update.predicted_prices.shape}"
+                f"got {event.predicted_prices.shape}"
             )
         if not (
-            np.isfinite(update.clean_prices).all()
-            and np.isfinite(update.predicted_prices).all()
+            np.isfinite(event.clean_prices).all()
+            and np.isfinite(event.predicted_prices).all()
         ):
             raise ValueError("price_update prices must be finite")
 

@@ -278,29 +278,32 @@ class OnlinePipeline:
         ``bound`` says an earlier event of the same batch binds a day, so
         a reading is acceptable before this pipeline's first update.
         """
-        if isinstance(event, PriceUpdate):
+        if isinstance(event, (PriceUpdate, DayBoundary)):
             self.single_event.check_day(event)
         elif isinstance(event, MeterReading):
             if self._current_update is None and not bound:
                 raise RuntimeError(
                     "no active day: a PriceUpdate must precede the first MeterReading"
                 )
-        elif not isinstance(event, (DayBoundary, AttackOccurrence)):
+        elif not isinstance(event, AttackOccurrence):
             raise TypeError(f"not a stream event: {type(event).__name__}")
 
     def handle(self, event: StreamEvent) -> SlotDetection | None:
         """Fold one event into the pipeline state.
 
         Robustness contract: an event is either refused before it changes
-        any state, or folded in without raising.  Three kinds are refused
+        any state, or folded in without raising.  Four kinds are refused
         (see :meth:`check_event`): a price update the day's detector
-        cannot bind (``ValueError``: a day outside a replay's prebuilt
-        range, prices of the wrong horizon or not finite), a reading before
-        the first price update (``RuntimeError``) and a non-event
-        (``TypeError``).  Every other event — stale, early, duplicated or
-        field-corrupted — is folded in: unusable slots become explicit
-        gap markers in the timeline, so a faulted stream degrades without
-        ever crashing the pump loop.
+        cannot bind (``ValueError``: prices of the wrong horizon or not
+        finite), a price update or day boundary whose day lies outside
+        the world's days (``ValueError``: a replay's prebuilt range, a
+        synthetic world's ``n_days``; accepting a far-future day would
+        gap-fill every slot before it), a reading before the first price
+        update (``RuntimeError``) and a non-event (``TypeError``).  Every
+        other event — stale, early, duplicated or field-corrupted — is
+        folded in: unusable slots become explicit gap markers in the
+        timeline, so a faulted stream degrades without ever crashing the
+        pump loop.
         """
         self.check_event(event)
         PERF.add("stream.events")
@@ -932,6 +935,7 @@ def build_synthetic_engine(
         predicted_simulator=predicted_simulator,
         threshold=config.detection.par_threshold,
         margin_noise_std=config.detection.margin_noise_std,
+        n_days=n_days,
     )
     monitor: IncrementalMonitor | None = None
     if detector != "none":

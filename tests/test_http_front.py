@@ -3,8 +3,9 @@
 Two contracts, pinned against both servers:
 
 - a rejected request changes nothing — a price update the day's
-  detector cannot bind, or an envelope with one unacceptable entry, is
-  refused before any gap is emitted or any community is bound;
+  detector cannot bind, a day beyond the world's days, or an envelope
+  with one unacceptable entry, is refused before any gap is emitted or
+  any community is bound;
 - every non-2xx answer is the JSON taxonomy ``{"error", "code",
   "status"}`` — for unsupported methods (405/404), for ``http.server``'s
   own framing errors and for bodies the handler cannot frame or parse —
@@ -79,6 +80,40 @@ class TestRejectedRequestChangesNothing:
         service.advance()
         assert len(engine.timeline) == 48
         assert engine.pipeline.n_gaps == 0
+
+    @pytest.mark.parametrize(
+        "event",
+        [
+            {"type": "price_update", "day": 400, "clean_prices": [0.1] * 24,
+             "predicted_prices": [0.1] * 24},
+            {"type": "day_boundary", "day": 400},
+        ],
+    )
+    def test_day_beyond_the_world_is_refused_over_http(self, fleet_config, cache, event):
+        # Accepted, a day-400 update gap-filled 9,600 slots of a 2-day world.
+        engine = build_synthetic_engine(fleet_config, n_days=2, cache=cache)
+        service = DetectionService(engine)
+        service.advance(max_events=3)
+        before = _state(engine)
+        records = engine.pipeline.audit.total_records
+        status, error = _post(create_server(service, port=0), "/events", event)
+        assert status == 400 and error["code"] == "bad_request"
+        assert "day 400 outside configured days [0, 2)" in error["error"]
+        assert _state(engine) == before
+        assert engine.pipeline.audit.total_records == records
+        assert len(engine.timeline) == 2
+
+    def test_envelope_with_a_day_beyond_the_world_binds_nobody(self, fleet_config, cache):
+        generator = LoadGenerator(fleet_config, n_communities=2, n_days=2, seed=5)
+        fleet = build_fleet(generator.specs(), n_shards=2, cache=cache)
+        update = next(iter(generator.envelopes()))["entries"][0]
+        late = {"community": "c0001", "event": {**update["event"], "day": 400}}
+        before = {cid: _state(fleet.engine_of(cid)) for cid in fleet.community_ids}
+        server = create_fleet_server(FleetAggregator(fleet), port=0)
+        status, error = _post(server, "/envelope", {"entries": [update, late]})
+        assert status == 400 and error["code"] == "bad_request"
+        assert "entry 1: day 400 outside configured days [0, 2)" in error["error"]
+        assert {cid: _state(fleet.engine_of(cid)) for cid in fleet.community_ids} == before
 
     def test_reading_with_more_meters_than_monitored_is_a_gap(self, fleet_config, cache):
         # The monitor's POMDP counts 0..4 flags; twelve meters used to
@@ -164,6 +199,24 @@ def _exchange(port: int, request: bytes) -> tuple[int, dict[str, str], bytes]:
         name, _, value = line.partition(":")
         headers[name.strip().lower()] = value.strip()
     return int(status_line.split()[1]), headers, body
+
+
+def _post(server, path: str, payload: dict) -> tuple[int, dict]:
+    """POST ``payload`` to a server started for this one request."""
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    body = json.dumps(payload).encode()
+    try:
+        status, headers, reply = _exchange(
+            server.server_address[1],
+            f"POST {path} HTTP/1.1\r\nHost: x\r\nContent-Length: {len(body)}\r\n\r\n".encode()
+            + body,
+        )
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    return status, _taxonomy(status, headers, reply)
 
 
 def _taxonomy(status: int, headers: dict[str, str], body: bytes) -> dict:
