@@ -7,6 +7,7 @@ Every dataclass is immutable; derived quantities are exposed as properties.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field, replace
 from typing import TYPE_CHECKING, Any
 
@@ -145,6 +146,12 @@ class PricingConfig:
     sellback_divisor: float = 1.5
 
     def __post_init__(self) -> None:
+        # NaN passes every ordered comparison below, and JSON checkpoints
+        # can carry NaN and Infinity literals.
+        for name in ("base_price", "demand_slope", "noise_std", "sellback_divisor"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.base_price < 0:
             raise ConfigError(f"base_price must be >= 0, got {self.base_price}")
         if self.demand_slope < 0:

@@ -9,7 +9,9 @@ the default (``None`` or ``"auto"``):
 
 Every registered backend is bitwise-identical to ``reference`` on
 pipeline inputs (see :mod:`repro.kernels.base`), so backend choice never
-changes results — only wall-clock time.  Registering a new backend:
+changes results — only wall-clock time.  ``battery_costs`` takes a cost
+model's buy rates, signed sell rates and export cap, so every tariff is
+priced by the active backend.  Registering a new backend:
 
     from repro.kernels import register_backend
     register_backend(MyBackend())

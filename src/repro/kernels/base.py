@@ -2,8 +2,8 @@
 
 The scheduling game spends essentially all of its time in three array
 kernels: projecting cross-entropy battery populations onto the feasible
-trajectory set, scoring those populations under the quadratic
-net-metering tariff, and the backward dynamic program over appliance
+trajectory set, scoring those populations under any tariff's buy and
+sell rates (Eqn. 2), and the backward dynamic program over appliance
 power levels.  This module defines the :class:`KernelBackend` protocol
 those kernels are routed through, so alternative implementations (a
 fused numpy variant, a future C extension) can be swapped in via
@@ -72,15 +72,19 @@ class KernelBackend(Protocol):
         load: FloatArray,
         pv: FloatArray,
         others: FloatArray,
-        prices: FloatArray,
-        sellback_divisor: float,
+        buy_rates: FloatArray,
+        sell_rates: FloatArray,
+        export_cap_kwh: float | None,
         multiplicity: int,
     ) -> FloatArray:
         """Customer cost of each battery decision under Eqn. (2).
 
         ``decisions`` has shape ``(..., H)``; ``load``, ``pv``,
-        ``others`` and ``prices`` must broadcast against it.  Returns the
-        per-row total cost with the last axis summed out.
+        ``others`` and both rate arrays must broadcast against it.  The
+        rates are a cost model's ``rates`` (sell rates carry the selling
+        branch's sign; ``export_cap_kwh=None`` is uncapped), priced as
+        :func:`repro.netmetering.cost.cost_terms` prices them.  Returns
+        the per-row total cost with the last axis summed out.
         """
         ...
 

@@ -12,9 +12,12 @@ and ufunc-dispatch overhead without changing a single output bit:
   calls into two reused buffers.
 - **Cost**: ``np.diff`` is plain subtraction, so the trading array can
   be built directly into a preallocated buffer, and the buy/sell
-  branches reuse the community-total buffer.  Operand order matches the
-  reference exactly (IEEE addition/multiplication are commutative, but
-  association order is preserved anyway).
+  branches reuse the community-total buffer.  This is the in-place twin
+  of :func:`repro.netmetering.cost.cost_terms`, for any tariff's rates:
+  an export cap costs one extra ``np.maximum``, and a paper-literal
+  sign arrives already folded into the sell rates.  Operand order
+  matches the reference exactly (IEEE addition/multiplication are
+  commutative, but association order is preserved anyway).
 - **DP**: the per-level masked update is kept verbatim (a min/argmin
   rewrite could flip the sign of zero on exact ties); the win is the
   batched variant, which runs the identical update elementwise over a
@@ -79,8 +82,9 @@ class FusedBackend:
         load: FloatArray,
         pv: FloatArray,
         others: FloatArray,
-        prices: FloatArray,
-        sellback_divisor: float,
+        buy_rates: FloatArray,
+        sell_rates: FloatArray,
+        export_cap_kwh: float | None,
         multiplicity: int,
     ) -> FloatArray:
         d = np.asarray(decisions, dtype=float)
@@ -94,11 +98,13 @@ class FusedBackend:
         total = np.multiply(y, multiplicity, out=np.empty_like(d))
         np.add(others, total, out=total)
         np.maximum(total, 0.0, out=total)
-        # buy = (p * total) * y; sell = ((p / W) * total) * y
-        buy = np.multiply(prices, total, out=np.empty_like(d))
+        # buy = (buy_rates * total) * y
+        buy = np.multiply(buy_rates, total, out=np.empty_like(d))
         np.multiply(buy, y, out=buy)
-        np.multiply(prices / sellback_divisor, total, out=total)
-        np.multiply(total, y, out=total)
+        # sell = (sell_rates * total) * max(y, -cap)
+        np.multiply(sell_rates, total, out=total)
+        sold = y if export_cap_kwh is None else np.maximum(y, -export_cap_kwh)
+        np.multiply(total, sold, out=total)
         cost = np.where(y >= 0, buy, total)
         return np.asarray(cost.sum(axis=-1), dtype=float)
 

@@ -2,8 +2,8 @@
 
 Every kernel here reproduces — operation for operation — the code paths
 the golden-master digests were recorded against
-(:func:`repro.netmetering.battery.clamp_trajectory_batch`,
-:meth:`repro.optimization.battery.BatteryProblem.cost_batch` and the
+(:func:`repro.netmetering.battery.clamp_trajectory_batch`, the battery
+cost as :func:`repro.netmetering.cost.cost_terms` prices it, and the
 backward loop of :func:`repro.scheduling.dp.schedule_appliance_table`).
 Accelerated backends are validated bitwise against this one.
 """
@@ -19,6 +19,7 @@ from repro.kernels.base import (
     IntArray,
     prepend_initial,
 )
+from repro.netmetering.cost import cost_terms
 
 _INF = np.inf
 
@@ -55,17 +56,20 @@ class ReferenceBackend:
         load: FloatArray,
         pv: FloatArray,
         others: FloatArray,
-        prices: FloatArray,
-        sellback_divisor: float,
+        buy_rates: FloatArray,
+        sell_rates: FloatArray,
+        export_cap_kwh: float | None,
         multiplicity: int,
     ) -> FloatArray:
         full = prepend_initial(np.asarray(decisions, dtype=float), initial)
         y = load + np.diff(full, axis=-1) - pv
-        total = np.maximum(others + multiplicity * y, 0.0)
-        cost = np.where(
-            y >= 0,
-            prices * total * y,
-            (prices / sellback_divisor) * total * y,
+        cost = cost_terms(
+            y,
+            others,
+            buy_rates=buy_rates,
+            sell_rates=sell_rates,
+            export_cap_kwh=export_cap_kwh,
+            multiplicity=multiplicity,
         )
         return np.asarray(cost.sum(axis=-1), dtype=float)
 

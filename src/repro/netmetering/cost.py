@@ -29,6 +29,16 @@ money flows ("the energy sold by a customer could be consumed by some
 neighbors in the same community", Section 2.2).  The floor also removes
 the runaway where deeper joint export would otherwise grow the per-unit
 sell-back payment without bound.
+
+Every tariff is two per-slot rate vectors, one to buy and one to sell,
+plus an optional cap on the compensated export per slot (see
+:mod:`repro.tariffs`).  :func:`cost_terms` is Eqn. (2) over those rates
+and the only place the formula is written in Python; the fused kernel
+backend (:mod:`repro.kernels.fused`) is its one in-place twin.  The
+paper's flat tariff is buy at ``p``, sell at ``p / W``.  A cost model's
+sell rates carry the selling branch's sign: ``paper_literal`` negates
+them, which equals negating the branch bit for bit because IEEE
+multiplication rounds both signs alike.
 """
 
 from __future__ import annotations
@@ -38,58 +48,104 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
+Rates = tuple[NDArray[np.float64], NDArray[np.float64], float | None]
+"""A cost model's ``(buy rates, signed sell rates, export cap in kWh)``."""
 
-@dataclass(frozen=True)
-class NetMeteringCostModel:
-    """Vectorized cost evaluation for one guideline-price vector.
 
-    Parameters
-    ----------
-    prices:
-        Guideline price per slot ``p_h``, shape ``(H,)``; must be >= 0.
-    sellback_divisor:
-        The paper's ``W >= 1``.
-    paper_literal:
-        ``True`` applies Eqn. (2)'s literal leading minus to the selling
-        branch (selling is *charged*); ``False`` (default) keeps the
-        rewarding sign the paper's text describes.  The default leaves
-        every numeric path bitwise-unchanged.
+def cost_terms(
+    trading: NDArray[np.float64],
+    others: NDArray[np.float64],
+    *,
+    buy_rates: NDArray[np.float64],
+    sell_rates: NDArray[np.float64],
+    export_cap_kwh: float | None,
+    multiplicity: int,
+) -> NDArray[np.float64]:
+    """Per-slot customer cost ``C_n^h`` of Eqn. (2), for any shapes.
+
+    All arrays broadcast against ``trading``; a leading batch axis (CE
+    populations, lockstep games) changes nothing but the shape, which is
+    what keeps batched and one-at-a-time solves bitwise equal.
+    ``others`` excludes all ``multiplicity`` identical instances moving
+    in lockstep: the community total is ``others + multiplicity * y``
+    while the customer pays for its own ``y``.  Under an export cap the
+    compensated quantity is ``max(y, -cap)``.
     """
+    total = np.maximum(others + multiplicity * trading, 0.0)
+    sold = trading if export_cap_kwh is None else np.maximum(trading, -export_cap_kwh)
+    return np.where(
+        trading >= 0.0, buy_rates * total * trading, sell_rates * total * sold
+    )
 
-    prices: tuple[float, ...]
-    sellback_divisor: float = 2.0
-    paper_literal: bool = False
 
-    def __post_init__(self) -> None:
-        p = tuple(float(v) for v in self.prices)
-        object.__setattr__(self, "prices", p)
-        if len(p) == 0:
-            raise ValueError("prices must be non-empty")
-        if any(not np.isfinite(v) or v < 0 for v in p):
-            raise ValueError("prices must be finite and >= 0")
-        if self.sellback_divisor < 1:
-            raise ValueError(
-                f"sellback_divisor must be >= 1, got {self.sellback_divisor}"
-            )
+def marginal_cost_terms(
+    base_trading: NDArray[np.float64],
+    others: NDArray[np.float64],
+    levels_kwh: NDArray[np.float64],
+    *,
+    buy_rates: NDArray[np.float64],
+    sell_rates: NDArray[np.float64],
+    export_cap_kwh: float | None,
+    multiplicity: int,
+) -> NDArray[np.float64]:
+    """Cost increase of adding each energy level on top of a base position.
+
+    ``base_trading``, ``others`` and the rates have shape ``(..., H)``
+    and ``levels_kwh`` shape ``(L,)``; entry ``[..., h, j]`` is the
+    change in :func:`cost_terms` when the customer adds
+    ``levels_kwh[j]`` in slot ``h``.  This is the DP scheduler's table.
+    """
+    base = cost_terms(
+        base_trading,
+        others,
+        buy_rates=buy_rates,
+        sell_rates=sell_rates,
+        export_cap_kwh=export_cap_kwh,
+        multiplicity=multiplicity,
+    )
+    new = cost_terms(
+        base_trading[..., None] + levels_kwh,
+        others[..., None],
+        buy_rates=buy_rates[..., None],
+        sell_rates=sell_rates[..., None],
+        export_cap_kwh=export_cap_kwh,
+        multiplicity=multiplicity,
+    )
+    return new - base[..., None]
+
+
+class CostModel:
+    """Eqn. (2) priced through a model's ``(buy, sell, cap)`` rates.
+
+    Every cost model -- the paper's flat :class:`NetMeteringCostModel`
+    and the generalized :class:`~repro.tariffs.model.TariffCostModel` --
+    supplies ``horizon``, ``price_array`` (the buy rates a price-only
+    scheduler sees) and :attr:`rates`.  The evaluation surface below
+    reads nothing else, so the scheduling game, the battery optimizer,
+    the lockstep solver and the kernels price every tariff alike.
+    """
 
     @property
     def horizon(self) -> int:
-        return len(self.prices)
+        raise NotImplementedError
 
     @property
     def price_array(self) -> NDArray[np.float64]:
-        return np.asarray(self.prices, dtype=float)
+        raise NotImplementedError
+
+    @property
+    def rates(self) -> Rates:
+        raise NotImplementedError
 
     def community_cost(self, total_trading: ArrayLike) -> float:
         """Total community billing ``sum_h p_h * max(Y_h, 0)^2``.
 
-        When ``Y_h <= 0`` the community as a whole exports; no billing
-        money flows (see the module docstring's floor rationale).
+        ``p_h`` is the buy rate.  When ``Y_h <= 0`` the community as a
+        whole exports; no billing money flows (see the module
+        docstring's floor rationale).
         """
         y = self._validated(total_trading)
-        p = self.price_array
-        cost = p * np.maximum(y, 0.0) ** 2
-        return float(cost.sum())
+        return float((self.price_array * np.maximum(y, 0.0) ** 2).sum())
 
     def customer_cost(
         self,
@@ -116,15 +172,15 @@ class NetMeteringCostModel:
         """
         if multiplicity < 1:
             raise ValueError(f"multiplicity must be >= 1, got {multiplicity}")
-        y = self._validated(trading)
-        y_others = self._validated(others_trading)
-        p = self.price_array
-        total = np.maximum(y_others + multiplicity * y, 0.0)
-        buying = y >= 0
-        selling = (p / self.sellback_divisor) * total * y
-        if self.paper_literal:
-            selling = -selling
-        return np.where(buying, p * total * y, selling)
+        buy, sell, cap = self.rates
+        return cost_terms(
+            self._validated(trading),
+            self._validated(others_trading),
+            buy_rates=buy,
+            sell_rates=sell,
+            export_cap_kwh=cap,
+            multiplicity=multiplicity,
+        )
 
     def marginal_cost_table(
         self,
@@ -160,18 +216,16 @@ class NetMeteringCostModel:
         lv = np.asarray(levels, dtype=float) * slot_hours
         if lv.ndim != 1:
             raise ValueError(f"levels must be 1-D, got shape {lv.shape}")
-        base_cost = self.customer_cost_per_slot(
-            y0, y_others, multiplicity=multiplicity
+        buy, sell, cap = self.rates
+        return marginal_cost_terms(
+            y0,
+            y_others,
+            lv,
+            buy_rates=buy,
+            sell_rates=sell,
+            export_cap_kwh=cap,
+            multiplicity=multiplicity,
         )
-        # shape (H, n_levels): candidate trading after adding each level
-        y_new = y0[:, None] + lv[None, :]
-        p = self.price_array[:, None]
-        total = np.maximum(y_others[:, None] + multiplicity * y_new, 0.0)
-        selling = (p / self.sellback_divisor) * total * y_new
-        if self.paper_literal:
-            selling = -selling
-        cost_new = np.where(y_new >= 0, p * total * y_new, selling)
-        return cost_new - base_cost[:, None]
 
     def _validated(self, values: ArrayLike) -> NDArray[np.float64]:
         arr = np.asarray(values, dtype=float)
@@ -182,3 +236,59 @@ class NetMeteringCostModel:
         if np.any(~np.isfinite(arr)):
             raise ValueError("values contain NaN or infinite entries")
         return arr
+
+
+@dataclass(frozen=True)
+class NetMeteringCostModel(CostModel):
+    """The paper's flat tariff for one guideline-price vector.
+
+    Parameters
+    ----------
+    prices:
+        Guideline price per slot ``p_h``, shape ``(H,)``; must be >= 0.
+    sellback_divisor:
+        The paper's ``W >= 1``.
+    paper_literal:
+        ``True`` applies Eqn. (2)'s literal leading minus to the selling
+        branch (selling is *charged*); ``False`` (default) keeps the
+        rewarding sign the paper's text describes.
+    """
+
+    prices: tuple[float, ...]
+    sellback_divisor: float = 2.0
+    paper_literal: bool = False
+
+    def __post_init__(self) -> None:
+        p = tuple(float(v) for v in self.prices)
+        object.__setattr__(self, "prices", p)
+        if len(p) == 0:
+            raise ValueError("prices must be non-empty")
+        if any(not np.isfinite(v) or v < 0 for v in p):
+            raise ValueError("prices must be finite and >= 0")
+        if not np.isfinite(self.sellback_divisor) or self.sellback_divisor < 1:
+            raise ValueError(
+                f"sellback_divisor must be finite and >= 1, got {self.sellback_divisor}"
+            )
+
+    @property
+    def horizon(self) -> int:
+        return len(self.prices)
+
+    @property
+    def price_array(self) -> NDArray[np.float64]:
+        return np.asarray(self.prices, dtype=float)
+
+    @property
+    def rates(self) -> Rates:
+        """Buy at ``p``, sell at ``p / W`` (negated when paper-literal)."""
+        p = self.price_array
+        sell = p / self.sellback_divisor
+        return p, -sell if self.paper_literal else sell, None
+
+    # Bound here as well as inherited: the benchmark ledger
+    # (perfbench/ledger.py) times these calls through this class's own
+    # namespace.
+    community_cost = CostModel.community_cost
+    customer_cost = CostModel.customer_cost
+    customer_cost_per_slot = CostModel.customer_cost_per_slot
+    marginal_cost_table = CostModel.marginal_cost_table

@@ -26,9 +26,8 @@ from numpy.typing import ArrayLike, NDArray
 from repro.core.config import BatteryConfig
 from repro.kernels import KernelBackend, get_backend
 from repro.netmetering.battery import clamp_trajectory, clamp_trajectory_batch
-from repro.netmetering.cost import NetMeteringCostModel
+from repro.netmetering.cost import CostModel, cost_terms
 from repro.optimization.cross_entropy import CrossEntropyOptimizer, OptimizationResult
-from repro.tariffs.model import TariffCostModel
 
 
 @dataclass(frozen=True)
@@ -45,7 +44,7 @@ class BatteryProblem:
     pv: tuple[float, ...]
     others_trading: tuple[float, ...]
     spec: BatteryConfig
-    cost_model: NetMeteringCostModel | TariffCostModel
+    cost_model: CostModel
     slot_hours: float = 1.0
     multiplicity: int = 1
 
@@ -129,47 +128,21 @@ class BatteryProblem:
             raise ValueError(
                 f"decisions must have shape (K, {self.horizon}), got {decisions.shape}"
             )
-        if not self._flat_net_metering():
-            return self._tariff_model().battery_costs(
-                decisions,
-                initial_level=self.spec.initial_kwh,
-                load=np.asarray(self.load, dtype=float),
-                pv=np.asarray(self.pv, dtype=float),
-                others_trading=np.asarray(self.others_trading, dtype=float),
-                multiplicity=self.multiplicity,
-            )
         b0 = np.full((decisions.shape[0], 1), self.spec.initial_kwh)
         full = np.hstack([b0, decisions])
         load = np.asarray(self.load, dtype=float)
         pv = np.asarray(self.pv, dtype=float)
         y = load[None, :] + np.diff(full, axis=1) - pv[None, :]
-        p = self.cost_model.price_array[None, :]
-        others = np.asarray(self.others_trading, dtype=float)[None, :]
-        total = np.maximum(others + self.multiplicity * y, 0.0)
-        cost = np.where(
-            y >= 0,
-            p * total * y,
-            (p / self.cost_model.sellback_divisor) * total * y,
+        buy, sell, cap = self.cost_model.rates
+        cost = cost_terms(
+            y,
+            np.asarray(self.others_trading, dtype=float)[None, :],
+            buy_rates=buy,
+            sell_rates=sell,
+            export_cap_kwh=cap,
+            multiplicity=self.multiplicity,
         )
         return cost.sum(axis=1)
-
-    def _flat_net_metering(self) -> bool:
-        """Whether the fast legacy/kernel formula prices this problem.
-
-        Only the default-sign flat model qualifies; paper-literal or
-        generalized-tariff models route through
-        :meth:`TariffCostModel.battery_costs` (pure numpy, identical on
-        every backend).
-        """
-        return (
-            isinstance(self.cost_model, NetMeteringCostModel)
-            and not self.cost_model.paper_literal
-        )
-
-    def _tariff_model(self) -> TariffCostModel:
-        if isinstance(self.cost_model, TariffCostModel):
-            return self.cost_model
-        return TariffCostModel.from_net_metering(self.cost_model)
 
 
 class BatteryOptimizer:
@@ -222,26 +195,7 @@ class BatteryOptimizer:
                 max_discharge=spec.max_discharge_kw * problem.slot_hours,
             )
 
-        if not problem._flat_net_metering():
-            # Generalized tariffs price through one pure-numpy path, so
-            # every kernel backend sees identical numbers by construction.
-            tariff_model = problem._tariff_model()
-
-            def tariff_cost(
-                decisions: NDArray[np.float64],
-            ) -> NDArray[np.float64]:
-                return tariff_model.battery_costs(
-                    decisions,
-                    initial_level=spec.initial_kwh,
-                    load=load,
-                    pv=pv,
-                    others_trading=others,
-                    multiplicity=problem.multiplicity,
-                )
-
-            return project, tariff_cost
-
-        prices = problem.cost_model.price_array
+        buy, sell, cap = problem.cost_model.rates
 
         def cost(decisions: NDArray[np.float64]) -> NDArray[np.float64]:
             return backend.battery_costs(
@@ -250,8 +204,9 @@ class BatteryOptimizer:
                 load=load,
                 pv=pv,
                 others=others,
-                prices=prices,
-                sellback_divisor=problem.cost_model.sellback_divisor,
+                buy_rates=buy,
+                sell_rates=sell,
+                export_cap_kwh=cap,
                 multiplicity=problem.multiplicity,
             )
 

@@ -29,124 +29,26 @@ are ``(games, H, levels)``.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
 from repro.core.config import GameConfig
 from repro.kernels import KernelBackend, get_backend
-from repro.netmetering.cost import NetMeteringCostModel
+from repro.netmetering.cost import cost_terms, marginal_cost_terms
 from repro.obs.trace import TRACER
 from repro.perf.counters import PERF
 from repro.scheduling.appliance import ApplianceSchedule, ApplianceTask
 from repro.scheduling.customer import Customer, CustomerState
 from repro.scheduling.dp import schedule_appliance_tables
 from repro.scheduling.game import Community, GameResult
-from repro.tariffs.model import TariffCostModel, tariff_cost_terms
-
-if TYPE_CHECKING:
-    from repro.tariffs.base import Tariff
+from repro.tariffs import Tariff, cost_model_for
 
 FloatArray = NDArray[np.float64]
 
 _CE_STD_FLOOR = 1e-3
 """Must match :class:`repro.optimization.cross_entropy.CrossEntropyOptimizer`."""
-
-
-def _cost_per_slot(
-    trading: FloatArray,
-    others: FloatArray,
-    prices: FloatArray,
-    sellback_divisor: float,
-    multiplicity: int,
-) -> FloatArray:
-    """Row-batched :meth:`NetMeteringCostModel.customer_cost_per_slot`."""
-    total = np.maximum(others + multiplicity * trading, 0.0)
-    return np.asarray(
-        np.where(
-            trading >= 0,
-            prices * total * trading,
-            (prices / sellback_divisor) * total * trading,
-        )
-    )
-
-
-def _marginal_tables(
-    base_trading: FloatArray,
-    others: FloatArray,
-    levels: FloatArray,
-    prices: FloatArray,
-    sellback_divisor: float,
-    multiplicity: int,
-    slot_hours: float,
-) -> FloatArray:
-    """Row-batched :meth:`NetMeteringCostModel.marginal_cost_table`."""
-    lv = np.asarray(levels, dtype=float) * slot_hours
-    base_cost = _cost_per_slot(
-        base_trading, others, prices, sellback_divisor, multiplicity
-    )
-    y_new = base_trading[:, :, None] + lv[None, None, :]
-    p = prices[:, :, None]
-    total = np.maximum(others[:, :, None] + multiplicity * y_new, 0.0)
-    cost_new = np.where(
-        y_new >= 0,
-        p * total * y_new,
-        (p / sellback_divisor) * total * y_new,
-    )
-    return np.asarray(cost_new - base_cost[:, :, None])
-
-
-def _tariff_cost_per_slot(
-    trading: FloatArray,
-    others: FloatArray,
-    buy: FloatArray,
-    sell: FloatArray,
-    export_cap: float | None,
-    paper_literal: bool,
-    multiplicity: int,
-) -> FloatArray:
-    """Row-batched :meth:`TariffCostModel.customer_cost_per_slot`."""
-    return np.asarray(
-        tariff_cost_terms(
-            trading,
-            others,
-            buy_rates=buy,
-            sell_rates=sell,
-            export_cap_kwh=export_cap,
-            paper_literal=paper_literal,
-            multiplicity=multiplicity,
-        )
-    )
-
-
-def _tariff_marginal_tables(
-    base_trading: FloatArray,
-    others: FloatArray,
-    levels: FloatArray,
-    buy: FloatArray,
-    sell: FloatArray,
-    export_cap: float | None,
-    paper_literal: bool,
-    multiplicity: int,
-    slot_hours: float,
-) -> FloatArray:
-    """Row-batched :meth:`TariffCostModel.marginal_cost_table`."""
-    lv = np.asarray(levels, dtype=float) * slot_hours
-    base_cost = _tariff_cost_per_slot(
-        base_trading, others, buy, sell, export_cap, paper_literal, multiplicity
-    )
-    y_new = base_trading[:, :, None] + lv[None, None, :]
-    cost_new = tariff_cost_terms(
-        y_new,
-        others[:, :, None],
-        buy_rates=buy[:, :, None],
-        sell_rates=sell[:, :, None],
-        export_cap_kwh=export_cap,
-        paper_literal=paper_literal,
-        multiplicity=multiplicity,
-    )
-    return np.asarray(cost_new - base_cost[:, :, None])
 
 
 class _LockstepState:
@@ -206,7 +108,7 @@ class LockstepGameSolver:
         sellback_divisor: float = 2.0,
         config: GameConfig | None = None,
         backend: KernelBackend | str | None = None,
-        tariff: "Tariff | None" = None,
+        tariff: Tariff | None = None,
     ) -> None:
         if not price_vectors:
             raise ValueError("need at least one price vector")
@@ -214,8 +116,6 @@ class LockstepGameSolver:
         self.config = config if config is not None else GameConfig()
         self.backend = get_backend(backend)
         self.slot_hours = 1.0
-        self.sellback_divisor = float(sellback_divisor)
-        self.tariff = tariff
         horizon = community.horizon
         prices = np.stack(
             [np.asarray(p, dtype=float) for p in price_vectors]
@@ -226,52 +126,16 @@ class LockstepGameSolver:
                 f"got stacked shape {prices.shape}"
             )
         # Per-game cost models run the same validation as the one-game
-        # solver (finite, non-negative prices) and keep the scalar paths
-        # available for acceptance bookkeeping.
-        if tariff is None:
-            self.cost_models: list[NetMeteringCostModel | TariffCostModel] = [
-                NetMeteringCostModel(
-                    prices=tuple(p), sellback_divisor=self.sellback_divisor
-                )
-                for p in prices
-            ]
-        else:
-            self.cost_models = [
-                tariff.cost_model(p, sellback_divisor=self.sellback_divisor)
-                for p in prices
-            ]
-        first = self.cost_models[0]
-        if isinstance(first, NetMeteringCostModel) and not first.paper_literal:
-            # Flat net metering (with or without an explicit tariff):
-            # keep the scalar-divisor formulas and the kernel battery
-            # fast path.  The tariff may pin its own divisor, so take
-            # it from the built model rather than the argument.
-            self.sellback_divisor = float(first.sellback_divisor)
-            self._tariff_rates: tuple[FloatArray, FloatArray] | None = None
-            self._export_cap: float | None = None
-            self._paper_literal = False
-        else:
-            # Generalized path: stack per-game rate rows once; every
-            # costing site then shares the same pure-numpy formula the
-            # one-game TariffCostModel evaluates row by row.
-            models = [
-                m
-                if isinstance(m, TariffCostModel)
-                else TariffCostModel.from_net_metering(m)
-                for m in self.cost_models
-            ]
-            self._tariff_rates = (
-                np.stack([m.price_array for m in models]),
-                np.stack([m.sell_array for m in models]),
-            )
-            self._export_cap = models[0].export_cap_kwh
-            self._paper_literal = models[0].paper_literal
-        # The import-side rates drive the greedy warm start (identical
-        # to the guideline prices when no tariff reshapes them).
-        self.greedy_prices = np.stack(
-            [m.price_array for m in self.cost_models]
-        )
-        self.prices = prices
+        # solver (finite, non-negative prices); their rates, stacked one
+        # row per game, price every costing site below.  One tariff
+        # prices the whole batch, so the export cap is shared.
+        rates = [
+            cost_model_for(tariff, p, sellback_divisor=sellback_divisor).rates
+            for p in prices
+        ]
+        self.buy_rates = np.stack([buy for buy, _, _ in rates])
+        self.sell_rates = np.stack([sell for _, sell, _ in rates])
+        self.export_cap_kwh = rates[0][2]
         self.n_games = prices.shape[0]
         self._jitter_tables: dict[tuple[int, int], FloatArray] = {}
         self._level_arrays: dict[tuple[int, int], FloatArray] = {}
@@ -314,7 +178,7 @@ class LockstepGameSolver:
                 for t, task in enumerate(customer.tasks):
                     levels = np.asarray(task.power_levels)
                     tables = (
-                        self.greedy_prices[cold][:, :, None]
+                        self.buy_rates[cold][:, :, None]
                         * levels[None, None, :]
                         * self.slot_hours
                     )
@@ -348,11 +212,11 @@ class LockstepGameSolver:
         customer: Customer,
         load: FloatArray,
         others: FloatArray,
-        prices: FloatArray,
+        buy_rates: FloatArray,
+        sell_rates: FloatArray,
         x0: FloatArray,
         multiplicity: int,
         std_scales: FloatArray,
-        tariff_rates: tuple[FloatArray, FloatArray] | None,
     ) -> tuple[FloatArray, FloatArray]:
         """Batched CE over battery trajectories; one game per row.
 
@@ -387,34 +251,17 @@ class LockstepGameSolver:
         def score(decisions: FloatArray, rows: NDArray[np.int_]) -> FloatArray:
             grouped = decisions.ndim == 3
             expand = (lambda v: v[:, None, :]) if grouped else (lambda v: v)
-            if tariff_rates is None:
-                return backend.battery_costs(
-                    decisions,
-                    initial=spec.initial_kwh,
-                    load=expand(load[rows]),
-                    pv=pv,
-                    others=expand(others[rows]),
-                    prices=expand(prices[rows]),
-                    sellback_divisor=self.sellback_divisor,
-                    multiplicity=multiplicity,
-                )
-            # Generalized tariffs score through the same pure-numpy
-            # formula the one-game TariffCostModel.battery_costs uses —
-            # identical on every kernel backend by construction.
-            buy_rows, sell_rows = tariff_rates
-            start = np.full(decisions.shape[:-1] + (1,), spec.initial_kwh)
-            trajectory = np.concatenate([start, decisions], axis=-1)
-            trading = expand(load[rows]) + np.diff(trajectory, axis=-1) - pv
-            cost = tariff_cost_terms(
-                trading,
-                expand(others[rows]),
-                buy_rates=expand(buy_rows[rows]),
-                sell_rates=expand(sell_rows[rows]),
-                export_cap_kwh=self._export_cap,
-                paper_literal=self._paper_literal,
+            return backend.battery_costs(
+                decisions,
+                initial=spec.initial_kwh,
+                load=expand(load[rows]),
+                pv=pv,
+                others=expand(others[rows]),
+                buy_rates=expand(buy_rates[rows]),
+                sell_rates=expand(sell_rates[rows]),
+                export_cap_kwh=self.export_cap_kwh,
                 multiplicity=multiplicity,
             )
-            return np.asarray(cost.sum(axis=-1))
 
         mean = np.clip(x0, lower, upper)
         std = np.maximum(span / 4.0 * std_scales[:, None], _CE_STD_FLOOR)
@@ -509,33 +356,17 @@ class LockstepGameSolver:
         """One batched inner-loop pass; updates ``state`` rows in place."""
         threshold_rate = self.config.hysteresis * hysteresis_scale
         customer = state.customer
-        prices = self.prices[rows]
-        if self._tariff_rates is None:
-            rate_rows = None
-        else:
-            rate_rows = (
-                self._tariff_rates[0][rows],
-                self._tariff_rates[1][rows],
-            )
-
-        def costs_per_slot(trading: FloatArray) -> FloatArray:
-            if rate_rows is None:
-                return _cost_per_slot(
-                    trading, others, prices, self.sellback_divisor, multiplicity
-                )
-            return _tariff_cost_per_slot(
-                trading,
-                others,
-                rate_rows[0],
-                rate_rows[1],
-                self._export_cap,
-                self._paper_literal,
-                multiplicity,
-            )
-
+        buy = self.buy_rates[rows]
+        sell = self.sell_rates[rows]
+        pricing = dict(
+            buy_rates=buy,
+            sell_rates=sell,
+            export_cap_kwh=self.export_cap_kwh,
+            multiplicity=multiplicity,
+        )
         for _ in range(self.config.inner_iterations):
             trading = state.tradings(rows)
-            per_slot = costs_per_slot(trading)
+            per_slot = cost_terms(trading, others, **pricing)
             reference = np.abs(per_slot.sum(axis=1)) + 1e-9
             threshold = threshold_rate * reference
             for index, task in enumerate(customer.tasks):
@@ -544,28 +375,9 @@ class LockstepGameSolver:
                 base_trading = (
                     trading - state.power[rows, index, :] * self.slot_hours
                 )
-                if rate_rows is None:
-                    tables = _marginal_tables(
-                        base_trading,
-                        others,
-                        levels,
-                        prices,
-                        self.sellback_divisor,
-                        multiplicity,
-                        self.slot_hours,
-                    )
-                else:
-                    tables = _tariff_marginal_tables(
-                        base_trading,
-                        others,
-                        levels,
-                        rate_rows[0],
-                        rate_rows[1],
-                        self._export_cap,
-                        self._paper_literal,
-                        multiplicity,
-                        self.slot_hours,
-                    )
+                tables = marginal_cost_terms(
+                    base_trading, others, levels * self.slot_hours, **pricing
+                )
                 tables = tables + jitter[None, :, :]
                 tables[:, :, 0] = 0.0  # idling stays exactly free
                 schedules, optimal_costs = schedule_appliance_tables(
@@ -585,14 +397,16 @@ class LockstepGameSolver:
                     customer,
                     load,
                     others,
-                    prices,
+                    buy,
+                    sell,
                     x0,
                     multiplicity,
                     ce_std_scales,
-                    rate_rows,
                 )
                 current_trading = state.tradings(rows)
-                current_costs = costs_per_slot(current_trading).sum(axis=1)
+                current_costs = cost_terms(
+                    current_trading, others, **pricing
+                ).sum(axis=1)
                 improvements = current_costs - best_f
                 for i, g in enumerate(rows):
                     if improvements[i] > threshold[i]:
@@ -722,7 +536,7 @@ def solve_games(
     backend: KernelBackend | str | None = None,
     warm_starts: Sequence[GameResult | None] | None = None,
     ce_std_scale: float = 1.0,
-    tariff: "Tariff | None" = None,
+    tariff: Tariff | None = None,
 ) -> list[GameResult]:
     """Solve independent games over one community in a lockstep batch.
 

@@ -22,7 +22,6 @@ tractable in pure Python.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
@@ -30,15 +29,12 @@ from numpy.typing import ArrayLike, NDArray
 from repro.core.config import GameConfig
 from repro.kernels import KernelBackend, get_backend
 from repro.metrics.par import par
-from repro.netmetering.cost import NetMeteringCostModel
-
-if TYPE_CHECKING:
-    from repro.tariffs.base import CostModel, Tariff
 from repro.obs.trace import TRACER
 from repro.optimization.battery import BatteryOptimizer, BatteryProblem
 from repro.perf.counters import PERF
 from repro.scheduling.customer import Customer, CustomerState
 from repro.scheduling.dp import schedule_appliance_table
+from repro.tariffs import Tariff, cost_model_for
 
 
 @dataclass(frozen=True)
@@ -165,7 +161,7 @@ class SchedulingGame:
         sellback_divisor: float = 2.0,
         config: GameConfig | None = None,
         backend: KernelBackend | str | None = None,
-        tariff: "Tariff | None" = None,
+        tariff: Tariff | None = None,
     ) -> None:
         prices_arr = np.asarray(prices, dtype=float)
         if prices_arr.shape != (community.horizon,):
@@ -178,19 +174,9 @@ class SchedulingGame:
         # Hourly slots: a kW power level consumes that many kWh per slot,
         # which keeps appliance loads, PV and trading in the same unit.
         self.slot_hours = 1.0
-        self.tariff = tariff
-        # The cost hook: with no tariff, the paper's flat net-metering
-        # model is built exactly as before (bitwise-identical results);
-        # a tariff supplies its own model through the same duck-typed
-        # surface.
-        if tariff is None:
-            self.cost_model: CostModel = NetMeteringCostModel(
-                prices=tuple(prices_arr), sellback_divisor=sellback_divisor
-            )
-        else:
-            self.cost_model = tariff.cost_model(
-                prices_arr, sellback_divisor=sellback_divisor
-            )
+        self.cost_model = cost_model_for(
+            tariff, prices_arr, sellback_divisor=sellback_divisor
+        )
         self._battery_optimizer = BatteryOptimizer(
             n_samples=self.config.ce_samples,
             n_elites=self.config.ce_elites,
@@ -268,7 +254,7 @@ class SchedulingGame:
         ``others_trading`` must exclude all ``multiplicity`` instances of
         the archetype; the herd move of identical instances is priced
         inside the marginal tables (see
-        :meth:`NetMeteringCostModel.marginal_cost_table`).
+        :meth:`~repro.netmetering.cost.CostModel.marginal_cost_table`).
 
         ``hysteresis_scale`` anneals the acceptance threshold: the outer
         loop raises it round by round, so best-response cycling between

@@ -2,10 +2,11 @@
 
 A *tariff* is a small frozen dataclass describing a billing structure;
 its one obligation is :meth:`Tariff.cost_model` — given a guideline
-price vector, produce the cost model the scheduling game prices
-decisions through (either the legacy
+price vector, produce the :class:`~repro.netmetering.cost.CostModel`
+the scheduling game prices decisions through: the paper's flat
 :class:`~repro.netmetering.cost.NetMeteringCostModel` or a generalized
-:class:`~repro.tariffs.model.TariffCostModel`).  Tariffs are pure
+:class:`~repro.tariffs.model.TariffCostModel`, each a buy-rate vector,
+a sell-rate vector and an optional export cap.  Tariffs are pure
 parameters: deterministic, hashable, JSON-round-trippable — which is
 what makes them config-addressable (``CommunityConfig.tariff``),
 checkpoint-safe (they ride inside the engine build spec) and
@@ -25,18 +26,12 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, fields
-from typing import Any, ClassVar, Type, TypeVar, Union
+from typing import Any, ClassVar, Type, TypeVar
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
-from repro.netmetering.cost import NetMeteringCostModel
-from repro.tariffs.model import TariffCostModel
-
-CostModel = Union[NetMeteringCostModel, TariffCostModel]
-"""What the scheduling game's cost hook accepts: the legacy flat model
-(kernel-accelerated fast path) or the generalized tariff model
-(backend-independent pure-numpy path)."""
+from repro.netmetering.cost import CostModel
 
 
 @dataclass(frozen=True)
@@ -55,8 +50,9 @@ class Tariff:
         """The cost model pricing one guideline-price vector.
 
         ``sellback_divisor`` is the pricing config's ``W`` — tariffs
-        that don't pin their own sell side inherit it, which is what
-        lets the default tariff reproduce the legacy behaviour exactly.
+        that don't pin their own sell side inherit it, which is how
+        ``FlatNetMetering()``, what ``tariff=None`` prices, follows the
+        configured ``W``.
         """
         raise NotImplementedError
 

@@ -4,11 +4,11 @@
 Tariff                 Billing structure
 =====================  =====================================================
 ``FlatNetMetering``    The paper's implicit tariff: flat buy at the
-                       guideline price, sell at ``p/W``.  With default
-                       parameters it returns the *identical legacy*
-                       :class:`~repro.netmetering.cost.NetMeteringCostModel`
-                       object, so scheduling, caching and kernels are
-                       bitwise-unchanged — Table 1 is reproduced exactly.
+                       guideline price, sell at ``p/W``, priced by
+                       :class:`~repro.netmetering.cost.NetMeteringCostModel`.
+                       With default parameters it is exactly what
+                       ``tariff=None`` prices, so Table 1 is reproduced
+                       bit for bit.
 ``BuySellSpread``      NEM-3-style decoupling (Alahmed & Tong,
                        arXiv:2212.03311): buy at ``markup * p``, sell at
                        ``fraction * p``, optionally with a per-slot
@@ -26,8 +26,9 @@ Tariff                 Billing structure
 
 ``named_tariff`` maps CLI/config grammar names (``flat``, ``tou``, …)
 onto instances for the matrix runner; ``"flat"`` maps to ``None`` — the
-*absence* of a tariff — so the matrix's flat-net-metering column runs
-through exactly the legacy code path and cache keys.
+*absence* of a tariff — so the matrix's flat-net-metering column keeps
+the cache keys of a run without a tariff.  :func:`cost_model_for` is
+the one place that absence becomes a cost model.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import ArrayLike
 
-from repro.netmetering.cost import NetMeteringCostModel
-from repro.tariffs.base import CostModel, Tariff, register_tariff
+from repro.netmetering.cost import CostModel, NetMeteringCostModel
+from repro.tariffs.base import Tariff, register_tariff
 from repro.tariffs.model import TariffCostModel
 
 
@@ -53,8 +54,7 @@ class FlatNetMetering(Tariff):
         Override for the pricing config's ``W``; ``None`` inherits it.
     paper_literal:
         Selling-branch sign (see :mod:`repro.netmetering.cost`).  The
-        default keeps the text's rewarding reading — and with it, the
-        bitwise-identical legacy cost model.
+        default keeps the text's rewarding reading.
     """
 
     kind = "flat_net_metering"
@@ -82,19 +82,10 @@ class FlatNetMetering(Tariff):
         self, prices: ArrayLike, *, sellback_divisor: float
     ) -> CostModel:
         arr = self._price_array(prices)
-        divisor = self._divisor(sellback_divisor)
-        if not self.paper_literal:
-            # The actual legacy class — equivalence by construction, so
-            # the kernel fast paths and existing cache keys still apply.
-            return NetMeteringCostModel(
-                prices=tuple(float(v) for v in arr),
-                sellback_divisor=divisor,
-            )
-        return TariffCostModel(
-            buy_rates=tuple(float(v) for v in arr),
-            sell_rates=tuple(float(v) for v in arr / divisor),
-            export_cap_kwh=None,
-            paper_literal=True,
+        return NetMeteringCostModel(
+            prices=tuple(float(v) for v in arr),
+            sellback_divisor=self._divisor(sellback_divisor),
+            paper_literal=self.paper_literal,
         )
 
 
@@ -237,16 +228,8 @@ class MonthlyNetting(Tariff):
     def cost_model(
         self, prices: ArrayLike, *, sellback_divisor: float
     ) -> CostModel:
-        arr = self._price_array(prices)
-        divisor = (
-            float(sellback_divisor)
-            if self.sellback_divisor is None
-            else self.sellback_divisor
-        )
-        return NetMeteringCostModel(
-            prices=tuple(float(v) for v in arr),
-            sellback_divisor=divisor,
-        )
+        flat = FlatNetMetering(sellback_divisor=self.sellback_divisor)
+        return flat.cost_model(prices, sellback_divisor=sellback_divisor)
 
     def settle(
         self,
@@ -273,9 +256,22 @@ class MonthlyNetting(Tariff):
         return instantaneous - banked * (avg_buy_rate - avg_sell_rate)
 
 
+def cost_model_for(
+    tariff: Tariff | None, prices: ArrayLike, *, sellback_divisor: float
+) -> CostModel:
+    """The cost model a scheduling game prices ``prices`` through.
+
+    ``None`` -- the absence of a tariff -- is the paper's flat net
+    metering at the pricing config's ``W``, i.e. ``FlatNetMetering()``.
+    Both game solvers choose their cost models here.
+    """
+    chosen = FlatNetMetering() if tariff is None else tariff
+    return chosen.cost_model(prices, sellback_divisor=sellback_divisor)
+
+
 NAMED_TARIFFS: dict[str, Tariff | None] = {
-    # The paper's tariff via the legacy code path (no tariff object at
-    # all): identical cache keys, bitwise-identical Table 1.
+    # The paper's tariff as the absence of a tariff object: the cache
+    # keys of a run without one, bitwise-identical Table 1.
     "flat": None,
     "flat_paper_literal": FlatNetMetering(paper_literal=True),
     "nem3_spread": BuySellSpread(sell_fraction=0.5),

@@ -11,13 +11,18 @@ backends.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from repro.core.config import GameConfig
+from repro.core.config import BatteryConfig, GameConfig
 from repro.kernels import available_backends
+from repro.netmetering.cost import NetMeteringCostModel
+from repro.optimization.battery import BatteryOptimizer, BatteryProblem
 from repro.scheduling.batch import solve_games
 from repro.scheduling.game import Community, GameResult, SchedulingGame
+from repro.tariffs import NAMED_TARIFFS
 from tests.conftest import HORIZON, make_customer
 
 FAST = GameConfig(
@@ -31,8 +36,6 @@ FAST = GameConfig(
 
 @pytest.fixture(scope="module")
 def community() -> Community:
-    from repro.core.config import BatteryConfig
-
     spec = BatteryConfig(
         capacity_kwh=2.0, initial_kwh=0.5, max_charge_kw=1.0, max_discharge_kw=1.0
     )
@@ -57,13 +60,20 @@ def _sequential(
     seed: int = 0,
     warm_starts=None,
     ce_std_scale: float = 1.0,
+    backend: str | None = None,
+    tariff=None,
 ) -> list[GameResult]:
     results = []
     for g, prices in enumerate(price_vectors):
         warm = warm_starts[g] if warm_starts is not None else None
         results.append(
             SchedulingGame(
-                community, prices, sellback_divisor=2.0, config=FAST
+                community,
+                prices,
+                sellback_divisor=2.0,
+                config=FAST,
+                backend=backend,
+                tariff=tariff,
             ).solve(
                 rng=np.random.default_rng(seed),  # repro: noqa[SEED003] lockstep oracle: same stream per game on purpose
                 warm_start=warm,
@@ -88,10 +98,17 @@ def assert_results_equal(batched: GameResult, single: GameResult) -> None:
 
 
 class TestColdBatch:
-    def test_batch_matches_sequential_loop(self, community):
+    @pytest.mark.parametrize("tariff_name", sorted(NAMED_TARIFFS))
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_batch_matches_sequential_loop(self, community, backend, tariff_name):
+        """The lockstep contract holds under every named tariff."""
+        tariff = NAMED_TARIFFS[tariff_name]
         prices = _prices(4)
-        batched = solve_games(community, prices, config=FAST, seed=0)
-        for b, s in zip(batched, _sequential(community, prices)):
+        batched = solve_games(
+            community, prices, config=FAST, seed=0, backend=backend, tariff=tariff
+        )
+        sequential = _sequential(community, prices, backend=backend, tariff=tariff)
+        for b, s in zip(batched, sequential):
             assert_results_equal(b, s)
 
     def test_single_game_batch_matches_direct_solve(self, community):
@@ -163,3 +180,111 @@ class TestWarmBatch:
             for _ in range(2)
         ]
         assert_results_equal(runs[0], runs[1])
+
+
+def _sha256(*arrays) -> str:
+    digest = hashlib.sha256()
+    for array in arrays:
+        digest.update(np.asarray(array, dtype=np.float64).tobytes())
+    return digest.hexdigest()
+
+
+def _games_digest(results: list[GameResult]) -> str:
+    arrays = []
+    for result in results:
+        arrays += [[result.rounds, result.converged], result.residuals]
+        for state in result.states:
+            arrays.append(state.battery_decision)
+            arrays += [schedule.power for schedule in state.schedules]
+    return _sha256(*arrays)
+
+
+def _optimize_digest(tariff, backend: str) -> str:
+    """One CE battery optimization that exports past the 2 kWh cap."""
+    rng = np.random.default_rng(17)
+    prices = rng.uniform(0.01, 0.06, HORIZON)
+    model = (
+        NetMeteringCostModel(prices=tuple(prices), sellback_divisor=1.5)
+        if tariff is None
+        else tariff.cost_model(prices, sellback_divisor=1.5)
+    )
+    hours = np.arange(HORIZON) + 0.5
+    pv = 3.0 * np.clip(np.sin(np.pi * (hours - 6.0) / 13.0), 0.0, None)
+    problem = BatteryProblem(
+        load=tuple(rng.uniform(0.3, 1.0, HORIZON)),
+        pv=tuple(pv),
+        others_trading=tuple(rng.uniform(4.0, 12.0, HORIZON)),
+        spec=BatteryConfig(
+            capacity_kwh=3.0, initial_kwh=1.0, max_charge_kw=1.0, max_discharge_kw=1.0
+        ),
+        cost_model=model,
+        multiplicity=2,
+    )
+    result = BatteryOptimizer(
+        n_samples=16, n_elites=4, n_iterations=4, backend=backend
+    ).optimize(problem, rng=np.random.default_rng(5))
+    return _sha256(
+        result.x,
+        [result.fun, result.n_evaluations, result.n_iterations, result.converged],
+    )
+
+
+# SHA-256 of (3-game ``solve_games`` batch, one ``BatteryOptimizer.optimize``)
+# per named tariff.  Kernel backends are bitwise-equal, so both share a row.
+# This community's equilibria never export, so the spread tariffs' games
+# match flat's; the optimizer column tells their sell sides apart.
+TARIFF_DIGESTS: dict[str, tuple[str, str]] = {
+    "flat": (
+        "48eca63e0f38b9ab9dc828b026262d223d28151fa452c4f6369f81580b4f23d8",
+        "cf4d1e1432ddb09ab71570bf8cfa656e2aaca323aff865749458b0ba66a9c895",
+    ),
+    "flat_paper_literal": (
+        "333d598be9cf4246a7de498df248a41de86da2ae0d53fc4b7aa76f5f207c6f47",
+        "499e6be795164a295b2cdbb73eb2a62243d9104326550e39587989fb57a43cc8",
+    ),
+    "monthly_netting": (
+        "48eca63e0f38b9ab9dc828b026262d223d28151fa452c4f6369f81580b4f23d8",
+        "cf4d1e1432ddb09ab71570bf8cfa656e2aaca323aff865749458b0ba66a9c895",
+    ),
+    "nem3_spread": (
+        "48eca63e0f38b9ab9dc828b026262d223d28151fa452c4f6369f81580b4f23d8",
+        "a0f116fceeed1ad8a152c2b6a66c1e0b6e900a94e3a3f3c5106e288fc8243553",
+    ),
+    "spread_capped": (
+        "48eca63e0f38b9ab9dc828b026262d223d28151fa452c4f6369f81580b4f23d8",
+        "8cb9d6aab114a75c5d4d826a7a6a9937ccd54f01a5db8e9039137523c0dae2c3",
+    ),
+    "tou": (
+        "cbfea2ef482aaa3ea8708529b0a7ef9f386f4cad911ff1b710f263f28b4efd99",
+        "3b7ef165274027aa9896dc8a57abb4e4599dfd0a4b1c3c80974801b58234290b",
+    ),
+}
+
+
+class TestTariffDigests:
+    """Bit pins for the tariffs no golden file covers.
+
+    The golden digests hold only ``flat`` and ``nem3_spread``.  These pin
+    every named tariff -- the export cap (``spread_capped``), the
+    selling-branch sign (``flat_paper_literal``) and time-of-use rates --
+    through the lockstep solver and the CE battery optimizer on both
+    backends.
+    """
+
+    @pytest.mark.parametrize("tariff_name", sorted(NAMED_TARIFFS))
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_digests(self, community, backend, tariff_name):
+        tariff = NAMED_TARIFFS[tariff_name]
+        games = solve_games(
+            community,
+            _prices(3),
+            sellback_divisor=1.5,
+            config=FAST,
+            seed=2,
+            backend=backend,
+            tariff=tariff,
+        )
+        assert (
+            _games_digest(games),
+            _optimize_digest(tariff, backend),
+        ) == TARIFF_DIGESTS[tariff_name]

@@ -11,6 +11,8 @@ from repro.core.config import (
     PricingConfig,
     SolarConfig,
     TimeGrid,
+    config_from_dict,
+    config_to_dict,
 )
 
 
@@ -91,6 +93,18 @@ class TestPricingConfig:
             PricingConfig(base_price=-0.1)
         with pytest.raises(ConfigError):
             PricingConfig(noise_std=-0.1)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "name", ["base_price", "demand_slope", "noise_std", "sellback_divisor"]
+    )
+    def test_non_finite_fields_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be finite"):
+            PricingConfig(**{name: value})
+        payload = config_to_dict(CommunityConfig())
+        payload["pricing"][name] = value
+        with pytest.raises(ConfigError, match=f"{name} must be finite"):
+            config_from_dict(payload)
 
 
 class TestGameConfig:

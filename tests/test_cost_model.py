@@ -30,6 +30,11 @@ class TestConstruction:
         with pytest.raises(ValueError, match="sellback"):
             NetMeteringCostModel(prices=PRICES, sellback_divisor=0.5)
 
+    @pytest.mark.parametrize("w", [float("nan"), float("inf")])
+    def test_rejects_non_finite_w(self, w):
+        with pytest.raises(ValueError, match="sellback_divisor must be finite"):
+            NetMeteringCostModel(prices=PRICES, sellback_divisor=w)
+
 
 class TestCustomerCost:
     def test_buying_branch(self, model):

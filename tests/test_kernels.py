@@ -25,6 +25,7 @@ from repro.kernels import (
 from repro.netmetering.battery import clamp_trajectory_batch
 from repro.netmetering.cost import NetMeteringCostModel
 from repro.optimization.battery import BatteryProblem
+from repro.tariffs import TariffCostModel
 from repro.scheduling.dp import (
     _task_units,
     schedule_appliance_table,
@@ -130,8 +131,28 @@ class TestClampDecisions:
         np.testing.assert_array_equal(once, twice)
 
 
+# Cost models whose rates exercise the sell branch's sign and the
+# export cap; each maps the guideline prices to one model.
+RATE_MODELS = {
+    "paper_literal": lambda p: NetMeteringCostModel(
+        prices=p, sellback_divisor=2.0, paper_literal=True
+    ),
+    "capped": lambda p: TariffCostModel(
+        buy_rates=p, sell_rates=tuple(0.75 * v for v in p), export_cap_kwh=0.25
+    ),
+    "capped_paper_literal": lambda p: TariffCostModel(
+        buy_rates=p,
+        sell_rates=tuple(0.75 * v for v in p),
+        export_cap_kwh=0.25,
+        paper_literal=True,
+    ),
+}
+
+
 class TestBatteryCosts:
-    def _problem(self, spec: BatteryConfig, seed: int) -> BatteryProblem:
+    def _problem(
+        self, spec: BatteryConfig, seed: int, model=None
+    ) -> BatteryProblem:
         rng = np.random.default_rng(seed)
         prices = tuple(rng.uniform(0.01, 0.05, HORIZON))
         return BatteryProblem(
@@ -139,23 +160,33 @@ class TestBatteryCosts:
             pv=tuple(rng.uniform(0.0, 0.6, HORIZON)),
             others_trading=tuple(rng.uniform(-0.5, 2.0, HORIZON)),
             spec=spec,
-            cost_model=NetMeteringCostModel(prices=prices, sellback_divisor=2.0),
+            cost_model=(
+                NetMeteringCostModel(prices=prices, sellback_divisor=2.0)
+                if model is None
+                else model(prices)
+            ),
             multiplicity=3,
+        )
+
+    @staticmethod
+    def _kwargs(problem: BatteryProblem) -> dict:
+        buy, sell, cap = problem.cost_model.rates
+        return dict(
+            initial=problem.spec.initial_kwh,
+            load=np.asarray(problem.load),
+            pv=np.asarray(problem.pv),
+            others=np.asarray(problem.others_trading),
+            buy_rates=buy,
+            sell_rates=sell,
+            export_cap_kwh=cap,
+            multiplicity=problem.multiplicity,
         )
 
     @pytest.mark.parametrize("spec", SPECS)
     def test_matches_reference_bitwise(self, backend, spec):
         problem = self._problem(spec, seed=11)
         decisions = problem.project_batch(_population(spec, (24,), seed=5))
-        kwargs = dict(
-            initial=spec.initial_kwh,
-            load=np.asarray(problem.load),
-            pv=np.asarray(problem.pv),
-            others=np.asarray(problem.others_trading),
-            prices=problem.cost_model.price_array,
-            sellback_divisor=problem.cost_model.sellback_divisor,
-            multiplicity=problem.multiplicity,
-        )
+        kwargs = self._kwargs(problem)
         np.testing.assert_array_equal(
             backend.battery_costs(decisions, **kwargs),
             REFERENCE.battery_costs(decisions, **kwargs),
@@ -165,17 +196,24 @@ class TestBatteryCosts:
     def test_matches_historical_cost_batch(self, backend, spec):
         problem = self._problem(spec, seed=13)
         decisions = problem.project_batch(_population(spec, (24,), seed=9))
-        ours = backend.battery_costs(
-            decisions,
-            initial=spec.initial_kwh,
-            load=np.asarray(problem.load),
-            pv=np.asarray(problem.pv),
-            others=np.asarray(problem.others_trading),
-            prices=problem.cost_model.price_array,
-            sellback_divisor=problem.cost_model.sellback_divisor,
-            multiplicity=problem.multiplicity,
-        )
+        ours = backend.battery_costs(decisions, **self._kwargs(problem))
         np.testing.assert_array_equal(ours, problem.cost_batch(decisions))
+
+    @pytest.mark.parametrize("model", sorted(RATE_MODELS))
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_signed_and_capped_rates_match_reference(self, backend, spec, model):
+        """Negative sell rates and a binding export cap, grouped rows too."""
+        problem = self._problem(spec, seed=17, model=RATE_MODELS[model])
+        decisions = problem.project_batch(_population(spec, (24,), seed=3))
+        kwargs = self._kwargs(problem)
+        ours = backend.battery_costs(decisions, **kwargs)
+        reference = REFERENCE.battery_costs(decisions, **kwargs)
+        np.testing.assert_array_equal(ours, reference)
+        np.testing.assert_array_equal(ours, problem.cost_batch(decisions))
+        grouped = decisions.reshape(4, 6, HORIZON)
+        np.testing.assert_array_equal(
+            backend.battery_costs(grouped, **kwargs), ours.reshape(4, 6)
+        )
 
 
 class TestApplianceDp:

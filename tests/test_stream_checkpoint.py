@@ -166,6 +166,29 @@ class TestCheckpointFormat:
             with pytest.raises(ValueError, match=match):
                 resume_engine(payload)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_resume_rejects_non_finite_pricing(
+        self, tiny_config, cache, tmp_path, monkeypatch, value
+    ):
+        """JSON reads NaN and Infinity literals; the config refuses them
+        before any engine is built."""
+        import repro.stream.pipeline as pipeline
+        from repro.core.config import ConfigError
+
+        engine = build_synthetic_engine(tiny_config, n_days=1, cache=cache)
+        path = save_checkpoint(engine, tmp_path / "ck.json")
+        payload = json.loads(path.read_text())
+        payload["build"]["config"]["pricing"]["sellback_divisor"] = value
+        path.write_text(json.dumps(payload))
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("engine built from a non-finite config")
+
+        monkeypatch.setattr(pipeline, "build_synthetic_engine", no_build)
+        monkeypatch.setattr(pipeline, "build_replay_engine", no_build)
+        with pytest.raises(ConfigError, match="sellback_divisor must be finite"):
+            resume_engine(path, cache=cache)
+
     def test_no_tmp_file_left_behind(self, tiny_config, cache, tmp_path):
         engine = build_synthetic_engine(tiny_config, n_days=1, cache=cache)
         engine.run(max_events=2)

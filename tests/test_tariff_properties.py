@@ -13,6 +13,8 @@ rests on:
 - ``FlatNetMetering`` with an explicit divisor reproduces the legacy
   :class:`~repro.netmetering.cost.NetMeteringCostModel` bitwise on
   random communities (the Table 1 equivalence, in miniature);
+- both cost models and both kernel backends match Eqn. (2) written out
+  here, independently of the one formula they share;
 - serialization round-trips and fingerprints are stable for every
   registered tariff kind.
 """
@@ -23,7 +25,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.netmetering.cost import NetMeteringCostModel
+from repro.kernels import available_backends, get_backend
+from repro.netmetering.cost import NetMeteringCostModel, cost_terms
 from repro.tariffs import (
     NAMED_TARIFFS,
     BuySellSpread,
@@ -32,7 +35,6 @@ from repro.tariffs import (
     TariffCostModel,
     TimeOfUse,
     named_tariff,
-    tariff_cost_terms,
     tariff_fingerprint,
     tariff_from_dict,
     tariff_to_dict,
@@ -44,6 +46,22 @@ prices_st = arrays(np.float64, H, elements=st.floats(0.001, 0.2))
 trading_st = arrays(np.float64, H, elements=st.floats(-4.0, 5.0))
 others_st = arrays(np.float64, H, elements=st.floats(0.0, 40.0))
 divisor_st = st.floats(1.0, 5.0)
+multiplicity_st = st.integers(1, 4)
+cap_st = st.one_of(st.none(), st.floats(0.5, 3.0))
+
+
+def eqn2(buy, sell, trading, others, *, multiplicity=1, literal=False, cap=None):
+    """Eqn. (2) written out: buy ``p*T*y``, sell ``(p/W)*T*y``.
+
+    ``T = max(others + m*y, 0)``; the sell term is negated for the
+    paper-literal sign and prices ``max(y, -cap)`` under a cap.
+    """
+    total = np.maximum(others + multiplicity * trading, 0.0)
+    sold = trading if cap is None else np.maximum(trading, -cap)
+    sell_term = sell * total * sold
+    if literal:
+        sell_term = -sell_term
+    return np.where(trading >= 0, buy * total * trading, sell_term)
 
 
 class TestBuyRateMonotonicity:
@@ -199,17 +217,38 @@ class TestFlatEquivalence:
             legacy.customer_cost_per_slot(trading, others),
         )
 
+    @staticmethod
+    def _as_tariff_model(legacy):
+        """The flat model re-expressed as decoupled rate vectors: buy at
+        ``p``, sell at ``p / W``, no cap, the same sign reading."""
+        prices = legacy.price_array
+        return TariffCostModel(
+            buy_rates=tuple(float(v) for v in prices),
+            sell_rates=tuple(float(v) for v in prices / legacy.sellback_divisor),
+            paper_literal=legacy.paper_literal,
+        )
+
     @settings(max_examples=60, deadline=None)
     @given(
-        prices=prices_st, trading=trading_st, others=others_st, w=divisor_st
+        prices=prices_st,
+        trading=trading_st,
+        others=others_st,
+        w=divisor_st,
+        literal=st.booleans(),
     )
     def test_from_net_metering_is_bitwise_faithful(
-        self, prices, trading, others, w
+        self, prices, trading, others, w, literal
     ):
-        """The generalized model built from a legacy model prices every
-        random community bitwise-identically."""
-        legacy = NetMeteringCostModel(prices=tuple(prices), sellback_divisor=w)
-        general = TariffCostModel.from_net_metering(legacy)
+        """The generalized model built from a legacy model's rates shares
+        its rate triple and prices every random community
+        bitwise-identically."""
+        legacy = NetMeteringCostModel(
+            prices=tuple(prices), sellback_divisor=w, paper_literal=literal
+        )
+        general = self._as_tariff_model(legacy)
+        for ours, theirs in zip(general.rates[:2], legacy.rates[:2]):
+            assert np.array_equal(ours, theirs)
+        assert general.rates[2] is None and legacy.rates[2] is None
         assert np.array_equal(
             general.customer_cost_per_slot(trading, others),
             legacy.customer_cost_per_slot(trading, others),
@@ -221,13 +260,13 @@ class TestFlatEquivalence:
         trading=trading_st,
         others=others_st,
         w=divisor_st,
-        multiplicity=st.integers(1, 4),
+        multiplicity=multiplicity_st,
     )
     def test_multiplicity_semantics_match_legacy(
         self, prices, trading, others, w, multiplicity
     ):
         legacy = NetMeteringCostModel(prices=tuple(prices), sellback_divisor=w)
-        general = TariffCostModel.from_net_metering(legacy)
+        general = self._as_tariff_model(legacy)
         assert np.array_equal(
             general.customer_cost_per_slot(
                 trading, others, multiplicity=multiplicity
@@ -236,6 +275,127 @@ class TestFlatEquivalence:
                 trading, others, multiplicity=multiplicity
             ),
         )
+
+
+class TestEquationTwoOracle:
+    """Both cost models and both kernels against :func:`eqn2`, bitwise."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        prices=prices_st,
+        trading=trading_st,
+        others=others_st,
+        w=divisor_st,
+        multiplicity=multiplicity_st,
+        literal=st.booleans(),
+    )
+    def test_flat_model_matches_eqn2(
+        self, prices, trading, others, w, multiplicity, literal
+    ):
+        model = NetMeteringCostModel(
+            prices=tuple(prices), sellback_divisor=w, paper_literal=literal
+        )
+        oracle = dict(multiplicity=multiplicity, literal=literal)
+        assert np.array_equal(
+            model.customer_cost_per_slot(trading, others, multiplicity=multiplicity),
+            eqn2(prices, prices / w, trading, others, **oracle),
+        )
+        levels = np.array([0.0, 0.5, 1.25])
+        table = model.marginal_cost_table(
+            trading, others, levels, multiplicity=multiplicity
+        )
+        y_new = trading[:, None] + levels[None, :]
+        p = prices[:, None]
+        expected = eqn2(p, p / w, y_new, others[:, None], **oracle) - eqn2(
+            prices, prices / w, trading, others, **oracle
+        )[:, None]
+        assert np.array_equal(table, expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        prices=prices_st,
+        trading=trading_st,
+        others=others_st,
+        markup=st.floats(0.5, 2.0),
+        fraction=st.floats(0.0, 1.0),
+        cap=cap_st,
+        multiplicity=multiplicity_st,
+        literal=st.booleans(),
+    )
+    def test_tariff_model_matches_eqn2(
+        self, prices, trading, others, markup, fraction, cap, multiplicity, literal
+    ):
+        buy, sell = prices * markup, prices * fraction
+        model = TariffCostModel(
+            buy_rates=tuple(buy),
+            sell_rates=tuple(sell),
+            export_cap_kwh=cap,
+            paper_literal=literal,
+        )
+        oracle = dict(multiplicity=multiplicity, literal=literal, cap=cap)
+        assert np.array_equal(
+            model.customer_cost_per_slot(trading, others, multiplicity=multiplicity),
+            eqn2(buy, sell, trading, others, **oracle),
+        )
+        levels = np.array([0.0, 1.0, 2.5])
+        table = model.marginal_cost_table(
+            trading, others, levels, multiplicity=multiplicity
+        )
+        y_new = trading[:, None] + levels[None, :]
+        expected = eqn2(
+            buy[:, None], sell[:, None], y_new, others[:, None], **oracle
+        ) - eqn2(buy, sell, trading, others, **oracle)[:, None]
+        assert np.array_equal(table, expected)
+
+    @pytest.mark.parametrize("backend", available_backends())
+    @settings(max_examples=30, deadline=None)
+    @given(
+        prices=prices_st,
+        others=others_st,
+        fraction=st.floats(0.0, 1.0),
+        cap=cap_st,
+        multiplicity=multiplicity_st,
+        literal=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_kernel_battery_costs_match_eqn2(
+        self, backend, prices, others, fraction, cap, multiplicity, literal, seed
+    ):
+        rng = np.random.default_rng(seed)
+        decisions = rng.uniform(0.0, 3.0, size=(6, H))
+        load = rng.uniform(0.0, 1.5, H)
+        pv = rng.uniform(0.0, 4.0, H)
+        sell = prices * fraction
+        model = TariffCostModel(
+            buy_rates=tuple(prices),
+            sell_rates=tuple(sell),
+            export_cap_kwh=cap,
+            paper_literal=literal,
+        )
+        buy_rates, sell_rates, export_cap = model.rates
+        ours = get_backend(backend).battery_costs(
+            decisions,
+            initial=1.0,
+            load=load,
+            pv=pv,
+            others=others,
+            buy_rates=buy_rates,
+            sell_rates=sell_rates,
+            export_cap_kwh=export_cap,
+            multiplicity=multiplicity,
+        )
+        full = np.concatenate([np.full((6, 1), 1.0), decisions], axis=1)
+        trading = load + np.diff(full, axis=1) - pv
+        expected = eqn2(
+            prices,
+            sell,
+            trading,
+            others,
+            multiplicity=multiplicity,
+            literal=literal,
+            cap=cap,
+        ).sum(axis=-1)
+        assert np.array_equal(ours, expected)
 
 
 class TestMonthlyNetting:
@@ -330,8 +490,7 @@ class TestTimeOfUse:
             peak_multiplier=2.0,
             offpeak_multiplier=1.0,
         ).cost_model(prices, sellback_divisor=2.0)
-        buy = model.price_array
-        sell = model.sell_array
+        buy, sell, _ = model.rates
         assert np.array_equal(buy[2:5], np.full(3, 0.2))
         assert np.array_equal(buy[:2], np.full(2, 0.1))
         assert np.array_equal(sell, buy / 2.0)
@@ -351,21 +510,21 @@ class TestCostTermsBroadcast:
         batch axis reproduces the per-row results bitwise — the identity
         that makes lockstep and sequential solves agree."""
         batch = np.stack([trading, trading * 0.5, -trading])
-        batched = tariff_cost_terms(
+        batched = cost_terms(
             batch,
             others[None, :],
             buy_rates=prices[None, :],
             sell_rates=prices[None, :] * 0.5,
             export_cap_kwh=1.25,
-            paper_literal=False,
+            multiplicity=1,
         )
         for row in range(batch.shape[0]):
-            single = tariff_cost_terms(
+            single = cost_terms(
                 batch[row],
                 others,
                 buy_rates=prices,
                 sell_rates=prices * 0.5,
                 export_cap_kwh=1.25,
-                paper_literal=False,
+                multiplicity=1,
             )
             assert np.array_equal(batched[row], single)
