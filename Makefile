@@ -1,7 +1,7 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test lint lint-program typecheck coverage refresh-golden bench bench-quick figures matrix matrix-smoke stream-smoke obs-smoke fleet-smoke fleet-bench scoreboard-smoke
+.PHONY: test lint lint-program typecheck coverage refresh-golden figures matrix matrix-smoke stream-smoke obs-smoke fleet-smoke scoreboard-smoke
 
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
@@ -46,15 +46,6 @@ coverage:
 refresh-golden:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) scripts/refresh_golden.py --all
 
-# Full hot-path benchmark at bench-preset scale; appends one entry to
-# BENCH_hotpaths.json (machine-readable perf trajectory).
-bench:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) scripts/bench_hotpaths.py
-
-# Micro benches only (CE step + game solve) — seconds, not minutes.
-bench-quick:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) scripts/bench_hotpaths.py --preset smoke --skip-scenario
-
 figures:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.cli all
 
@@ -84,17 +75,10 @@ obs-smoke:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) scripts/validate_obs.py \
 		--trace trace.json --audit audit.jsonl
 
-# Fleet-vs-sequential bitwise equivalence suite + a scaled-down
-# capacity bench run (CI's fleet-smoke job; see docs/FLEET.md).
+# Fleet-vs-sequential bitwise equivalence suite (CI's fleet-smoke job;
+# see docs/FLEET.md).
 fleet-smoke:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest tests/test_fleet_equivalence.py -x -q
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.fleet.bench --quick \
-		--out bench_fleet_smoke.json
-
-# Full fleet capacity bench; appends one entry to BENCH_fleet.json
-# (events/sec + lockstep-tick latency percentiles).
-fleet-bench:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.fleet.bench
 
 # Campaign fleet + resilience scoreboard + merged fleet trace (CI's
 # scoreboard-smoke job): serve a traced fleet with announced attacks,

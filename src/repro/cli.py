@@ -24,13 +24,11 @@ audit-trail inspector (see ``docs/OBSERVABILITY.md``):
 and the multi-community fleet layer (see ``docs/FLEET.md``):
 
     python -m repro fleet serve     # sharded fleet aggregator service
-    python -m repro fleet bench     # == repro-fleet-bench
 
 Common options: ``--preset {smoke,bench,paper}``, ``--seed N``,
 ``--slots H`` (fig6/table1 horizon), ``--json PATH`` (dump scenario
 results), ``--perf`` (print hot-path counters — CE evaluations, DP
-cells, game rounds, cache hit rate — after the command), ``--bench-json
-PATH`` (append the counters to a ``BENCH_*.json`` perf trajectory).
+cells, game rounds, cache hit rate — after the command).
 
 Matrix options (``docs/SCENARIOS.md``): ``--quick`` (2x2 grid, aware
 detector only), ``--out PATH`` (JSON artifact), ``--workers N``
@@ -412,12 +410,6 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="print hot-path perf counters after the command",
     )
-    parser.add_argument(
-        "--bench-json",
-        type=Path,
-        default=None,
-        help="append the run's perf counters to this BENCH_*.json file",
-    )
     solver_opts = parser.add_argument_group("solver options")
     solver_opts.add_argument(
         "--backend",
@@ -600,18 +592,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.perf:
         print()
         print(PERF.report())
-    if args.bench_json is not None:
-        from repro.perf.bench import collect_environment, write_bench_json
-
-        write_bench_json(
-            args.bench_json,
-            {
-                "environment": collect_environment(),
-                "command": args.command,
-                "preset": args.preset,
-                "perf_counters": PERF.snapshot(),
-            },
-        )
     _finish_trace(trace_out)
     return 0
 

@@ -8,7 +8,7 @@ Every dataclass is immutable; derived quantities are exposed as properties.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:
@@ -17,6 +17,20 @@ if TYPE_CHECKING:
 
 class ConfigError(ValueError):
     """Raised when a configuration dataclass is constructed inconsistently."""
+
+
+def _require_finite(config: Any) -> None:
+    """Refuse NaN and +/-inf in every ``float`` field of a config dataclass.
+
+    NaN passes every ordered comparison in the range checks, and JSON
+    checkpoints can carry NaN and Infinity literals.  Field types are
+    compared as strings: this module's annotations are postponed.
+    """
+    for spec in fields(config):
+        if spec.type == "float":
+            value = getattr(config, spec.name)
+            if not math.isfinite(value):
+                raise ConfigError(f"{spec.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -38,6 +52,7 @@ class TimeGrid:
     n_days: int = 1
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.slots_per_day < 1:
             raise ConfigError(f"slots_per_day must be >= 1, got {self.slots_per_day}")
         if self.n_days < 1:
@@ -91,6 +106,7 @@ class BatteryConfig:
     max_discharge_kw: float = 1.0
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.capacity_kwh < 0:
             raise ConfigError(f"capacity_kwh must be >= 0, got {self.capacity_kwh}")
         if not 0 <= self.initial_kwh <= max(self.capacity_kwh, 0):
@@ -116,6 +132,7 @@ class SolarConfig:
     cloud_reversion: float = 0.5
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.peak_kw < 0:
             raise ConfigError(f"peak_kw must be >= 0, got {self.peak_kw}")
         if not 0 <= self.sunrise_hour < self.sunset_hour <= 24:
@@ -146,12 +163,7 @@ class PricingConfig:
     sellback_divisor: float = 1.5
 
     def __post_init__(self) -> None:
-        # NaN passes every ordered comparison below, and JSON checkpoints
-        # can carry NaN and Infinity literals.
-        for name in ("base_price", "demand_slope", "noise_std", "sellback_divisor"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value}")
+        _require_finite(self)
         if self.base_price < 0:
             raise ConfigError(f"base_price must be >= 0, got {self.base_price}")
         if self.demand_slope < 0:
@@ -186,6 +198,7 @@ class GameConfig:
     ce_smoothing: float = 0.7
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.max_rounds < 1:
             raise ConfigError("max_rounds must be >= 1")
         if self.inner_iterations < 1:
@@ -224,6 +237,7 @@ class DetectionConfig:
     n_monitored_meters: int = 12
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.par_threshold < 0:
             raise ConfigError("par_threshold must be >= 0")
         if self.margin_noise_std < 0:
@@ -265,6 +279,7 @@ class SolverConfig:
     ce_warm_std_scale: float = 0.25
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if not self.backend:
             raise ConfigError("backend must be a non-empty name or 'auto'")
         if self.warm_start_max_distance < 0:
@@ -308,6 +323,7 @@ class RetryPolicy:
     backoff_max_s: float = 1.0
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.max_retries < 0:
             raise ConfigError(f"max_retries must be >= 0, got {self.max_retries}")
         if self.backoff_base_s < 0:
@@ -372,6 +388,7 @@ class CommunityConfig:
     seed: int = 2015
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.n_customers < 1:
             raise ConfigError("n_customers must be >= 1")
         lo, hi = self.appliances_per_customer

@@ -11,9 +11,9 @@ per tick.  The :class:`~repro.fleet.aggregator.FleetAggregator` exposes
 fleet-wide ``/status``, ``/detections`` and Prometheus ``/metrics`` over
 HTTP, per-shard checkpoints round-trip through the existing stream
 checkpoint machinery (:mod:`repro.fleet.checkpoint`), and the seeded
-:class:`~repro.fleet.loadgen.LoadGenerator` plus ``repro-fleet-bench``
-(:mod:`repro.fleet.bench`) measure capacity (events/sec, p99 advance
-latency) into ``BENCH_fleet.json``.
+:class:`~repro.fleet.loadgen.LoadGenerator` builds reproducible fleets
+and lockstep envelope streams for ``repro fleet serve`` and the
+``perfbench/`` fleet workloads.
 
 Determinism contract: every community's engine is fully independent
 (its own source, pipeline and RNG), so a fleet run over K communities

@@ -1,18 +1,13 @@
-"""``repro fleet`` — serve or benchmark a multi-community fleet.
+"""``repro fleet`` — serve a multi-community fleet.
 
-Subcommands
------------
-- ``repro fleet serve`` builds a seeded fleet with the load generator
-  (or resumes one from a per-shard checkpoint directory) and runs the
-  :class:`~repro.fleet.aggregator.FleetAggregator` HTTP service.
-- ``repro fleet bench`` is the ``repro-fleet-bench`` capacity harness
-  (see :mod:`repro.fleet.bench`).
+``repro fleet serve`` builds a seeded fleet with the load generator (or
+resumes one from a per-shard checkpoint directory) and runs the
+:class:`~repro.fleet.aggregator.FleetAggregator` HTTP service.
 
 Examples::
 
     python -m repro fleet serve --communities 8 --shards 2 --port 8010
     python -m repro fleet serve --checkpoint-dir /tmp/fleet --resume
-    python -m repro fleet bench --quick --out BENCH_fleet.json
 """
 
 from __future__ import annotations
@@ -97,7 +92,7 @@ def fleet_main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro fleet",
         description="Multi-community fleet: consistent-hash sharded "
-        "detection service and capacity benchmark.",
+        "detection service.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
@@ -146,29 +141,11 @@ def fleet_main(argv: list[str] | None = None) -> int:
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8010)
 
-    bench = sub.add_parser(
-        "bench",
-        help="capacity benchmark (same surface as repro-fleet-bench)",
-        add_help=False,
-    )
-    bench.add_argument("args", nargs=argparse.REMAINDER)
-
-    if argv is None:
-        argv = sys.argv[1:]
-    # `bench` hands its whole tail to repro-fleet-bench so the two entry
-    # points stay one option surface.
-    if argv and argv[0] == "bench":
-        from repro.fleet.bench import main as bench_main
-
-        return bench_main(argv[1:])
     args = parser.parse_args(argv)
-    if args.subcommand == "serve":
-        for name in ("communities", "shards", "days"):
-            if getattr(args, name) < 1:
-                parser.error(f"--{name} must be >= 1")
-        return _cmd_serve(args)
-    parser.error(f"unknown subcommand {args.subcommand!r}")
-    return 2  # pragma: no cover - parser.error raises
+    for name in ("communities", "shards", "days"):
+        if getattr(args, name) < 1:
+            parser.error(f"--{name} must be >= 1")
+    return _cmd_serve(args)
 
 
 if __name__ == "__main__":

@@ -1,14 +1,12 @@
-"""Performance layer: counters, deterministic parallel execution, bench I/O.
+"""Performance layer: counters and deterministic parallel execution.
 
-Three small, dependency-free building blocks the simulation stack shares:
+Two small, dependency-free building blocks the simulation stack shares:
 
 - :data:`~repro.perf.counters.PERF` — process-global counters/timers the
   hot paths increment (CE evaluations, DP cells, game rounds, cache
   hits/misses);
 - :class:`~repro.perf.parallel.ParallelMap` — serial / process-pool map
-  with a determinism contract (self-seeding tasks, order-preserving);
-- :func:`~repro.perf.bench.write_bench_json` — machine-readable perf
-  trajectory records (``BENCH_*.json``) appended by the bench harness.
+  with a determinism contract (self-seeding tasks, order-preserving).
 """
 
 from repro.perf.counters import PERF, BoundedHistogram, PerfRegistry

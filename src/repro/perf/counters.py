@@ -2,8 +2,8 @@
 
 The hot paths of the reproduction (CE sampling, DP cell relaxation, game
 rounds, game-solution caching) increment a process-global registry so
-that any entry point — the CLI, the benchmark harness, or
-``scripts/bench_hotpaths.py`` — can report how much work a run actually
+that any entry point — the CLI's ``--perf``, the services' ``/metrics``
+or the ``perfbench/`` ledger — can report how much work a run actually
 did.  Counter updates are a dict lookup plus an add; the overhead is
 negligible next to the work being counted.
 

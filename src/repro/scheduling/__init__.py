@@ -18,7 +18,6 @@ from repro.scheduling.diagnostics import (
     equilibrium_quality,
     nash_gap,
 )
-from repro.scheduling.household import HouseholdResponseSimulator
 
 __all__ = [
     "ApplianceSchedule",
@@ -27,7 +26,6 @@ __all__ = [
     "Customer",
     "CustomerState",
     "GameResult",
-    "HouseholdResponseSimulator",
     "InfeasibleTaskError",
     "NashGapReport",
     "SchedulingGame",

@@ -1,7 +1,10 @@
 """Tests for the configuration dataclasses."""
 
+import dataclasses
+
 import pytest
 
+from repro.core import config as config_module
 from repro.core.config import (
     BatteryConfig,
     CommunityConfig,
@@ -156,3 +159,27 @@ class TestCommunityConfig:
         assert updated.n_customers == 10
         assert updated.seed == 1
         assert config.n_customers == 500  # original untouched
+
+
+CONFIG_CLASSES = [
+    obj
+    for obj in vars(config_module).values()
+    if dataclasses.is_dataclass(obj) and obj.__module__ == config_module.__name__
+]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "cls, name",
+    [
+        pytest.param(cls, spec.name, id=f"{cls.__name__}.{spec.name}")
+        for cls in CONFIG_CLASSES
+        for spec in dataclasses.fields(cls)
+        if isinstance(spec.default, float)
+    ],
+)
+def test_non_finite_fields_rejected(cls, name, value):
+    """NaN passes the ordered range checks, so every float field is
+    checked for finiteness first."""
+    with pytest.raises(ConfigError, match=f"{name} must be finite, got {value}"):
+        cls(**{name: value})

@@ -166,19 +166,34 @@ class TestCheckpointFormat:
             with pytest.raises(ValueError, match=match):
                 resume_engine(payload)
 
-    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "section, name, value",
+        [
+            pytest.param("pricing", "sellback_divisor", float("nan"), id="nan"),
+            pytest.param("pricing", "sellback_divisor", float("inf"), id="inf"),
+            pytest.param("game", "hysteresis", float("nan"), id="game-nan"),
+            pytest.param(
+                "detection", "damage_per_meter", float("inf"), id="detection-inf"
+            ),
+            pytest.param("battery", "max_charge_kw", float("nan"), id="battery-nan"),
+            pytest.param("solar", "peak_kw", float("inf"), id="solar-inf"),
+            pytest.param(
+                "solver", "warm_start_max_distance", float("nan"), id="solver-nan"
+            ),
+        ],
+    )
     def test_resume_rejects_non_finite_pricing(
-        self, tiny_config, cache, tmp_path, monkeypatch, value
+        self, tiny_config, cache, tmp_path, monkeypatch, section, name, value
     ):
         """JSON reads NaN and Infinity literals; the config refuses them
-        before any engine is built."""
+        before any engine is built, in every config section."""
         import repro.stream.pipeline as pipeline
         from repro.core.config import ConfigError
 
         engine = build_synthetic_engine(tiny_config, n_days=1, cache=cache)
         path = save_checkpoint(engine, tmp_path / "ck.json")
         payload = json.loads(path.read_text())
-        payload["build"]["config"]["pricing"]["sellback_divisor"] = value
+        payload["build"]["config"][section][name] = value
         path.write_text(json.dumps(payload))
 
         def no_build(*args, **kwargs):
@@ -186,7 +201,7 @@ class TestCheckpointFormat:
 
         monkeypatch.setattr(pipeline, "build_synthetic_engine", no_build)
         monkeypatch.setattr(pipeline, "build_replay_engine", no_build)
-        with pytest.raises(ConfigError, match="sellback_divisor must be finite"):
+        with pytest.raises(ConfigError, match=f"{name} must be finite"):
             resume_engine(path, cache=cache)
 
     def test_no_tmp_file_left_behind(self, tiny_config, cache, tmp_path):
