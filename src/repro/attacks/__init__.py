@@ -7,7 +7,6 @@ from repro.attacks.registry import (
     attack_kinds,
     attack_to_dict,
 )
-from repro.attacks.stealth import StealthPlan, plan_stealthy_attack
 from repro.attacks.pricing import (
     BillIncreaseAttack,
     CoordinatedRampAttack,
@@ -29,12 +28,10 @@ __all__ = [
     "PeakIncreaseAttack",
     "PricingAttack",
     "ScalingAttack",
-    "StealthPlan",
     "TelemetrySpoofAttack",
     "ZeroPriceAttack",
     "attack_from_dict",
     "attack_kind",
     "attack_kinds",
     "attack_to_dict",
-    "plan_stealthy_attack",
 ]

@@ -417,12 +417,6 @@ def main(argv: list[str] | None = None) -> int:
         help="kernel backend for the game solver (auto/reference/fused/...; "
         "defaults to the REPRO_BACKEND environment variable, then auto)",
     )
-    solver_opts.add_argument(
-        "--warm-start",
-        action="store_true",
-        help="seed solves from the nearest cached equilibrium; faster on "
-        "repeated runs but results live in a separate cache namespace",
-    )
     stream_opts = parser.add_argument_group("stream/serve options")
     stream_opts.add_argument(
         "--stream-source",
@@ -517,21 +511,15 @@ def main(argv: list[str] | None = None) -> int:
     config = PRESETS[args.preset]()
     if args.seed is not None:
         config = config.with_updates(seed=args.seed)
-    if args.backend is not None or args.warm_start:
-        if args.backend is not None:
-            from repro.kernels import get_backend
+    if args.backend is not None:
+        from repro.kernels import get_backend
 
-            try:
-                get_backend(args.backend)
-            except ValueError as exc:
-                parser.error(str(exc))
-        solver_changes: dict[str, Any] = {}
-        if args.backend is not None:
-            solver_changes["backend"] = args.backend
-        if args.warm_start:
-            solver_changes["warm_start"] = True
+        try:
+            get_backend(args.backend)
+        except ValueError as exc:
+            parser.error(str(exc))
         config = config.with_updates(
-            solver=replace(config.solver, **solver_changes)
+            solver=replace(config.solver, backend=args.backend)
         )
     if args.json is not None:
         args.json.mkdir(parents=True, exist_ok=True)

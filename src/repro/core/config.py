@@ -8,10 +8,13 @@ Every dataclass is immutable; derived quantities are exposed as properties.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, TypeVar
 
 if TYPE_CHECKING:
+    from _typeshed import DataclassInstance
+
     from repro.tariffs.base import Tariff
 
 
@@ -20,17 +23,40 @@ class ConfigError(ValueError):
 
 
 def _require_finite(config: Any) -> None:
-    """Refuse NaN and +/-inf in every ``float`` field of a config dataclass.
+    """Refuse anything but a finite real number in every ``float`` field.
 
     NaN passes every ordered comparison in the range checks, and JSON
-    checkpoints can carry NaN and Infinity literals.  Field types are
+    checkpoints can carry NaN and Infinity literals, strings, ``null``,
+    booleans and integers too large for a float.  Field types are
     compared as strings: this module's annotations are postponed.
     """
     for spec in fields(config):
         if spec.type == "float":
             value = getattr(config, spec.name)
-            if not math.isfinite(value):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(
+                    f"{spec.name} must be a real number, got {value!r}"
+                )
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:
+                raise ConfigError(
+                    f"{spec.name} must be finite, got a number too large for a float"
+                ) from None
+            if not finite:
                 raise ConfigError(f"{spec.name} must be finite, got {value}")
+
+
+_Section = TypeVar("_Section", bound="DataclassInstance")
+
+
+def _section(cls: type[_Section], data: dict[str, Any]) -> _Section:
+    """Build one config section, refusing keys its dataclass lacks."""
+    known = {spec.name for spec in fields(cls)}
+    for key in data:
+        if key not in known:
+            raise ConfigError(f"{cls.__name__} has no field {key!r}")
+    return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -263,29 +289,16 @@ class SolverConfig:
     bitwise-identical; see :mod:`repro.kernels`), ``batch_games`` turns
     on lockstep batching of independent solves
     (:func:`repro.scheduling.batch.solve_games`, also bitwise-identical
-    to the sequential loop).  ``warm_start`` is the one knob that *does*
-    change results: solves are seeded from the nearest cached
-    equilibrium (within ``warm_start_max_distance`` in max-abs price
-    gap) with the CE sampling density narrowed by ``ce_warm_std_scale``.
-    Warm solutions live in their own cache namespace, so enabling it
-    never contaminates cold-start (golden) results, and runs stay
-    deterministic given the cache state.
+    to the sequential loop).
     """
 
     backend: str = "auto"
     batch_games: bool = True
-    warm_start: bool = False
-    warm_start_max_distance: float = 0.05
-    ce_warm_std_scale: float = 0.25
 
     def __post_init__(self) -> None:
         _require_finite(self)
         if not self.backend:
             raise ConfigError("backend must be a non-empty name or 'auto'")
-        if self.warm_start_max_distance < 0:
-            raise ConfigError("warm_start_max_distance must be >= 0")
-        if not 0 < self.ce_warm_std_scale <= 1:
-            raise ConfigError("ce_warm_std_scale must be in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -439,15 +452,15 @@ def config_from_dict(payload: dict[str, Any]) -> CommunityConfig:
         n_customers=int(data["n_customers"]),
         appliances_per_customer=tuple(data["appliances_per_customer"]),
         pv_adoption=float(data["pv_adoption"]),
-        time=TimeGrid(**data["time"]),
-        battery=BatteryConfig(**data["battery"]),
-        solar=SolarConfig(**data["solar"]),
-        pricing=PricingConfig(**data["pricing"]),
-        game=GameConfig(**data["game"]),
-        detection=DetectionConfig(**data["detection"]),
+        time=_section(TimeGrid, data["time"]),
+        battery=_section(BatteryConfig, data["battery"]),
+        solar=_section(SolarConfig, data["solar"]),
+        pricing=_section(PricingConfig, data["pricing"]),
+        game=_section(GameConfig, data["game"]),
+        detection=_section(DetectionConfig, data["detection"]),
         # Checkpoints written before the solver layer existed carry no
         # "solver" section; defaults reproduce the historical behaviour.
-        solver=SolverConfig(**data.get("solver", {})),
+        solver=_section(SolverConfig, data.get("solver", {})),
         tariff=tariff,
         seed=int(data["seed"]),
     )

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
@@ -40,7 +40,6 @@ from repro.simulation.cache import (
     GameSolutionCache,
     solution_key,
     solve_context_key,
-    warm_context_key,
 )
 
 if TYPE_CHECKING:
@@ -73,10 +72,8 @@ class CommunityResponseSimulator:
         always safe.
     solver:
         Execution strategy (kernel backend, lockstep batching of
-        :meth:`prefetch`, equilibrium warm-starting).  The default is
-        bitwise-identical to the historical sequential path; only
-        ``solver.warm_start`` changes results, and warm solutions are
-        namespaced away from cold ones in the cache.
+        :meth:`prefetch`).  Every setting is bitwise-identical to the
+        historical sequential path.
     tariff:
         Optional pricing rule from :mod:`repro.tariffs`.  ``None`` (the
         default) is the paper's flat net-metering tariff through the
@@ -109,12 +106,6 @@ class CommunityResponseSimulator:
             seed=seed,
             tariff=tariff,
         )
-        if self.solver.warm_start:
-            self._context_key = warm_context_key(
-                self._context_key,
-                ce_std_scale=self.solver.ce_warm_std_scale,
-                max_distance=self.solver.warm_start_max_distance,
-            )
 
     @property
     def horizon(self) -> int:
@@ -167,27 +158,19 @@ class CommunityResponseSimulator:
             return 0
         if not self.solver.batch_games or len(pending) == 1:
             for key, p in pending.items():
-                self.cache.put(key, self._solve(p), community=self.community)
-                self._register(key, p)
+                self.cache.put(key, self._solve(p))
             return len(pending)
-        clamped = [np.maximum(p, 0.0) for p in pending.values()]
-        warm_starts: Sequence[GameResult | None] = [
-            self._warm_start(p) for p in clamped
-        ]
         results = solve_games(
             self.community,
-            clamped,
+            [np.maximum(p, 0.0) for p in pending.values()],
             sellback_divisor=self.sellback_divisor,
             config=self.config,
             seed=self.seed,
             backend=self.solver.backend,
-            warm_starts=warm_starts,
-            ce_std_scale=self.solver.ce_warm_std_scale,
             tariff=self.tariff,
         )
-        for (key, p), result in zip(pending.items(), results):
-            self.cache.put(key, result, community=self.community)
-            self._register(key, p)
+        for key, result in zip(pending, results):
+            self.cache.put(key, result)
         return len(pending)
 
     def _validated(self, prices: ArrayLike) -> NDArray[np.float64]:
@@ -218,59 +201,27 @@ class CommunityResponseSimulator:
         """The keyed vectors with no cached solution, by first occurrence.
 
         Peeks every other vector in input order, which refreshes its LRU
-        position (and promotes it from the on-disk tier) without booking
-        a lookup.
+        position without booking a lookup.
         """
         pending: OrderedDict[str, NDArray[np.float64]] = OrderedDict()
         for key, p in keyed:
-            if key in pending:
-                continue
-            if self.cache.peek(key, community=self.community) is not None:
-                self._register(key, p)
-                continue
-            pending[key] = p
+            if key not in pending and self.cache.peek(key) is None:
+                pending[key] = p
         return pending
 
     def _lookup(self, key: str, p: NDArray[np.float64]) -> GameResult:
-        result = self.cache.get_or_solve(
-            key, lambda: self._solve(p), community=self.community
-        )
-        self._register(key, p)
-        return result
-
-    def _register(self, key: str, p: NDArray[np.float64]) -> None:
-        """Index a solved vector for :meth:`_warm_start`, its only reader;
-        cold simulators skip it."""
-        if self.solver.warm_start:
-            self.cache.register_prices(self._context_key, np.maximum(p, 0.0), key)
-
-    def _warm_start(self, clamped: NDArray[np.float64]) -> GameResult | None:
-        """Nearest cached equilibrium usable as a warm start, if enabled."""
-        if not self.solver.warm_start:
-            return None
-        near = self.cache.nearest(
-            self._context_key,
-            clamped,
-            max_distance=self.solver.warm_start_max_distance,
-        )
-        return near.result if near is not None else None
+        return self.cache.get_or_solve(key, lambda: self._solve(p))
 
     def _solve(self, p: NDArray[np.float64]) -> GameResult:
-        clamped = np.maximum(p, 0.0)
-        warm = self._warm_start(clamped)
         game = SchedulingGame(
             self.community,
-            clamped,
+            np.maximum(p, 0.0),
             sellback_divisor=self.sellback_divisor,
             config=self.config,
             backend=self.solver.backend,
             tariff=self.tariff,
         )
-        return game.solve(
-            rng=np.random.default_rng(self.seed),
-            warm_start=warm,
-            ce_std_scale=self.solver.ce_warm_std_scale if warm is not None else 1.0,
-        )
+        return game.solve(rng=np.random.default_rng(self.seed))
 
     def grid_par(self, prices: ArrayLike) -> float:
         """PAR of the grid demand the community would draw under ``prices``."""

@@ -218,7 +218,6 @@ class BatteryOptimizer:
         *,
         x0: ArrayLike | None = None,
         rng: np.random.Generator | None = None,
-        std_scale: float = 1.0,
     ) -> OptimizationResult:
         """Return the best feasible battery decision found by CE.
 
@@ -259,9 +258,7 @@ class BatteryOptimizer:
             if x0 is not None
             else np.full(h, problem.spec.initial_kwh)
         )
-        result = optimizer.minimize(
-            cost, x0=start, rng=rng, batch=True, std_scale=std_scale
-        )
+        result = optimizer.minimize(cost, x0=start, rng=rng, batch=True)
         # Every candidate the optimizer scored was already projected, so
         # result.x is feasible and result.fun is its exact cost — no
         # re-projection or re-evaluation needed.

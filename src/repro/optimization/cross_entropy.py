@@ -30,6 +30,10 @@ BatchObjective = Callable[[NDArray[np.float64]], NDArray[np.float64]]
 Projection = Callable[[NDArray[np.float64]], NDArray[np.float64]]
 BatchProjection = Callable[[NDArray[np.float64]], NDArray[np.float64]]
 
+STD_FLOOR = 1e-3
+"""Default ``std_floor``; the lockstep game solver's batched CE
+(:mod:`repro.scheduling.batch`) starts and stops on the same floor."""
+
 
 @dataclass(frozen=True)
 class OptimizationResult:
@@ -86,7 +90,7 @@ class CrossEntropyOptimizer:
         n_elites: int = 10,
         n_iterations: int = 20,
         smoothing: float = 0.7,
-        std_floor: float = 1e-3,
+        std_floor: float = STD_FLOOR,
         projection: Projection | None = None,
         batch_projection: BatchProjection | None = None,
     ) -> None:
@@ -127,7 +131,6 @@ class CrossEntropyOptimizer:
         x0: ArrayLike | None = None,
         rng: np.random.Generator | None = None,
         batch: bool = False,
-        std_scale: float = 1.0,
     ) -> OptimizationResult:
         """Minimize ``objective`` over the box.
 
@@ -143,15 +146,10 @@ class CrossEntropyOptimizer:
             Source of randomness; a fresh default generator if omitted.
         batch:
             Whether ``objective`` accepts the whole population at once.
-        std_scale:
-            Scale on the initial sampling standard deviation (floored at
-            ``std_floor``).  Warm-started solves pass a value below 1 to
-            seed the CE density tightly around a near-equilibrium ``x0``,
-            which makes the ``std_floor`` early break fire several
-            iterations sooner.  The default 1.0 is an exact no-op.
+
+        The initial sampling standard deviation is a quarter of the box
+        span per coordinate, floored at ``std_floor``.
         """
-        if std_scale <= 0:
-            raise ValueError(f"std_scale must be > 0, got {std_scale}")
         rng = rng if rng is not None else np.random.default_rng(0)
         span = self.upper - self.lower
         if x0 is not None:
@@ -163,7 +161,7 @@ class CrossEntropyOptimizer:
             mean = np.clip(x0_arr, self.lower, self.upper)
         else:
             mean = (self.lower + self.upper) / 2.0
-        std = np.maximum(span / 4.0 * std_scale, self.std_floor)
+        std = np.maximum(span / 4.0, self.std_floor)
 
         # Score the starting point so a short run can never do worse than
         # its warm start.

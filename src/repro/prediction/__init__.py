@@ -8,11 +8,6 @@ from repro.prediction.features import (
     unaware_features_for_day,
 )
 from repro.prediction.load import LoadPrediction, predict_community_load
-from repro.prediction.renewable import (
-    ClearSkyPersistenceForecaster,
-    RenewableForecast,
-    forecast_error_rmse,
-)
 from repro.prediction.price import (
     AwarePricePredictor,
     PricePredictor,
@@ -22,16 +17,13 @@ from repro.prediction.svr import SupportVectorRegressor
 
 __all__ = [
     "AwarePricePredictor",
-    "ClearSkyPersistenceForecaster",
     "FeatureMatrix",
     "LoadPrediction",
     "PricePredictor",
-    "RenewableForecast",
     "SupportVectorRegressor",
     "UnawarePricePredictor",
     "aware_feature_dataset",
     "aware_features_for_day",
-    "forecast_error_rmse",
     "predict_community_load",
     "unaware_feature_dataset",
     "unaware_features_for_day",

@@ -38,6 +38,7 @@ from repro.core.config import GameConfig
 from repro.kernels import KernelBackend, get_backend
 from repro.netmetering.cost import cost_terms, marginal_cost_terms
 from repro.obs.trace import TRACER
+from repro.optimization.cross_entropy import STD_FLOOR
 from repro.perf.counters import PERF
 from repro.scheduling.appliance import ApplianceSchedule, ApplianceTask
 from repro.scheduling.customer import Customer, CustomerState
@@ -46,9 +47,6 @@ from repro.scheduling.game import Community, GameResult
 from repro.tariffs import Tariff, cost_model_for
 
 FloatArray = NDArray[np.float64]
-
-_CE_STD_FLOOR = 1e-3
-"""Must match :class:`repro.optimization.cross_entropy.CrossEntropyOptimizer`."""
 
 
 class _LockstepState:
@@ -165,42 +163,27 @@ class LockstepGameSolver:
     # ------------------------------------------------------------------
     # Initialization
     # ------------------------------------------------------------------
-    def _initial_states(
-        self, warm_starts: Sequence[GameResult | None]
-    ) -> list[_LockstepState]:
-        cold = np.array(
-            [g for g in range(self.n_games) if warm_starts[g] is None], dtype=int
-        )
+    def _initial_states(self) -> list[_LockstepState]:
+        """Every game's greedy ``SchedulingGame.initial_state``."""
         states = []
-        for a, customer in enumerate(self.community.customers):
+        for customer in self.community.customers:
             state = _LockstepState(customer, self.n_games)
-            if cold.size:
-                for t, task in enumerate(customer.tasks):
-                    levels = np.asarray(task.power_levels)
-                    tables = (
-                        self.buy_rates[cold][:, :, None]
-                        * levels[None, None, :]
-                        * self.slot_hours
-                    )
-                    schedules, _ = schedule_appliance_tables(
-                        task,
-                        tables,
-                        slot_hours=self.slot_hours,
-                        backend=self.backend,
-                    )
-                    for i, g in enumerate(cold):
-                        state.power[g, t, :] = schedules[i].load
-                state.battery[cold] = customer.battery.initial_kwh
-            for g in range(self.n_games):
-                warm = warm_starts[g]
-                if warm is None:
-                    continue
-                warm_state = warm.states[a]
-                for t in range(len(customer.tasks)):
-                    state.power[g, t, :] = warm_state.schedules[t].load
-                state.battery[g] = np.asarray(
-                    warm_state.battery_decision, dtype=float
+            for t, task in enumerate(customer.tasks):
+                levels = np.asarray(task.power_levels)
+                tables = (
+                    self.buy_rates[:, :, None]
+                    * levels[None, None, :]
+                    * self.slot_hours
                 )
+                schedules, _ = schedule_appliance_tables(
+                    task,
+                    tables,
+                    slot_hours=self.slot_hours,
+                    backend=self.backend,
+                )
+                for g, schedule in enumerate(schedules):
+                    state.power[g, t, :] = schedule.load
+            state.battery[:] = customer.battery.initial_kwh
             states.append(state)
         return states
 
@@ -216,7 +199,6 @@ class LockstepGameSolver:
         sell_rates: FloatArray,
         x0: FloatArray,
         multiplicity: int,
-        std_scales: FloatArray,
     ) -> tuple[FloatArray, FloatArray]:
         """Batched CE over battery trajectories; one game per row.
 
@@ -264,7 +246,7 @@ class LockstepGameSolver:
             )
 
         mean = np.clip(x0, lower, upper)
-        std = np.maximum(span / 4.0 * std_scales[:, None], _CE_STD_FLOOR)
+        std = np.tile(np.maximum(span / 4.0, STD_FLOOR), (n_games, 1))
         all_rows = np.arange(n_games)
         start = project(mean.copy())
         start_scores = score(start, all_rows)
@@ -315,7 +297,7 @@ class LockstepGameSolver:
             new_std = elites.std(axis=1)
             mean[alive] = cfg.ce_smoothing * new_mean + (1 - cfg.ce_smoothing) * mean[alive]
             std[alive] = cfg.ce_smoothing * new_std + (1 - cfg.ce_smoothing) * std[alive]
-            done = np.all(std[alive] < _CE_STD_FLOOR, axis=1)
+            done = np.all(std[alive] < STD_FLOOR, axis=1)
             alive = alive[~done]
         TRACER.end(span_id)
         for n in n_iterations:
@@ -351,7 +333,6 @@ class LockstepGameSolver:
         *,
         multiplicity: int,
         hysteresis_scale: float,
-        ce_std_scales: FloatArray,
     ) -> None:
         """One batched inner-loop pass; updates ``state`` rows in place."""
         threshold_rate = self.config.hysteresis * hysteresis_scale
@@ -394,14 +375,7 @@ class LockstepGameSolver:
                 load = state.loads(rows)
                 x0 = state.battery[rows]
                 best_x, best_f = self._ce_battery(
-                    customer,
-                    load,
-                    others,
-                    buy,
-                    sell,
-                    x0,
-                    multiplicity,
-                    ce_std_scales,
+                    customer, load, others, buy, sell, x0, multiplicity
                 )
                 current_trading = state.tradings(rows)
                 current_costs = cost_terms(
@@ -415,40 +389,10 @@ class LockstepGameSolver:
     # ------------------------------------------------------------------
     # Outer loop
     # ------------------------------------------------------------------
-    def solve(
-        self,
-        *,
-        seed: int = 0,
-        warm_starts: Sequence[GameResult | None] | None = None,
-        ce_std_scale: float = 1.0,
-    ) -> list[GameResult]:
-        """Run Algorithm 1 for every game of the batch.
-
-        ``warm_starts[g]``, when given, replaces game ``g``'s greedy
-        initial states (exactly like ``SchedulingGame.solve``'s
-        ``warm_start``) and applies ``ce_std_scale`` to that game's CE
-        sampling density.
-        """
+    def solve(self, *, seed: int = 0) -> list[GameResult]:
+        """Run Algorithm 1 for every game of the batch."""
         n_games = self.n_games
-        if warm_starts is None:
-            warm_starts = [None] * n_games
-        if len(warm_starts) != n_games:
-            raise ValueError(
-                f"{len(warm_starts)} warm starts for {n_games} games"
-            )
-        for warm in warm_starts:
-            if warm is not None and len(warm.states) != len(
-                self.community.customers
-            ):
-                raise ValueError(
-                    f"warm start has {len(warm.states)} archetype states "
-                    f"for {len(self.community.customers)} archetypes"
-                )
-        ce_scales = np.array(
-            [ce_std_scale if w is not None else 1.0 for w in warm_starts]
-        )
-
-        states = self._initial_states(warm_starts)
+        states = self._initial_states()
         counts = self.community.counts
         tradings = [
             s.tradings(np.arange(n_games)) for s in states
@@ -493,7 +437,6 @@ class LockstepGameSolver:
                             others,
                             multiplicity=count,
                             hysteresis_scale=float(round_no),
-                            ce_std_scales=ce_scales[active],
                         )
                     new_trading = state.tradings(active)
                     delta = np.max(np.abs(new_trading - old_trading), axis=1)
@@ -534,8 +477,6 @@ def solve_games(
     config: GameConfig | None = None,
     seed: int = 0,
     backend: KernelBackend | str | None = None,
-    warm_starts: Sequence[GameResult | None] | None = None,
-    ce_std_scale: float = 1.0,
     tariff: Tariff | None = None,
 ) -> list[GameResult]:
     """Solve independent games over one community in a lockstep batch.
@@ -546,11 +487,7 @@ def solve_games(
             community, price_vectors[g],
             sellback_divisor=sellback_divisor, config=config,
             tariff=tariff,
-        ).solve(
-            rng=np.random.default_rng(seed),
-            warm_start=warm_starts[g],
-            ce_std_scale=ce_std_scale if warm_starts[g] else 1.0,
-        )
+        ).solve(rng=np.random.default_rng(seed))
 
     while sharing every array operation across the batch.
     """
@@ -562,6 +499,4 @@ def solve_games(
         backend=backend,
         tariff=tariff,
     )
-    return solver.solve(
-        seed=seed, warm_starts=warm_starts, ce_std_scale=ce_std_scale
-    )
+    return solver.solve(seed=seed)

@@ -215,7 +215,7 @@ class SchedulingGame:
     # Initialization
     # ------------------------------------------------------------------
     def initial_state(self, customer: Customer) -> CustomerState:
-        """Greedy warm start: price-only scheduling, idle battery."""
+        """Greedy initial state: price-only scheduling, idle battery."""
         horizon = customer.horizon
         prices = self.cost_model.price_array
         schedules = []
@@ -244,7 +244,6 @@ class SchedulingGame:
         *,
         multiplicity: int = 1,
         hysteresis_scale: float = 1.0,
-        ce_std_scale: float = 1.0,
     ) -> CustomerState:
         """One inner-loop pass of Algorithm 1 for a single customer.
 
@@ -320,10 +319,7 @@ class SchedulingGame:
                 # fixed points the outer loop can actually reach.
                 ce_rng = np.random.default_rng(customer.customer_id + 7919)  # repro: noqa[SEED003] fixed-point contract: the CE step must replay the same stream each inner iteration
                 result = self._battery_optimizer.optimize(
-                    problem,
-                    x0=np.asarray(state.battery_decision),
-                    rng=ce_rng,
-                    std_scale=ce_std_scale,
+                    problem, x0=np.asarray(state.battery_decision), rng=ce_rng
                 )
                 current_cost = problem.cost(np.asarray(state.battery_decision))
                 # Accept only clear improvements: chasing CE sampling noise
@@ -357,32 +353,11 @@ class SchedulingGame:
     # ------------------------------------------------------------------
     # Outer loop
     # ------------------------------------------------------------------
-    def solve(
-        self,
-        *,
-        rng: np.random.Generator | None = None,
-        warm_start: GameResult | None = None,
-        ce_std_scale: float = 1.0,
-    ) -> GameResult:
-        """Run Algorithm 1 to (approximate) convergence.
-
-        ``warm_start`` replaces the greedy initial states with a previous
-        :class:`GameResult` for the same community (e.g. the nearest
-        cached equilibrium under a similar price vector), typically
-        cutting rounds-to-convergence sharply; ``ce_std_scale`` then
-        narrows the CE sampling density around the warm trajectories.
-        Both default to the historical cold start.
-        """
+    def solve(self, *, rng: np.random.Generator | None = None) -> GameResult:
+        """Run Algorithm 1 to (approximate) convergence from the greedy
+        :meth:`initial_state` of every customer."""
         rng = rng if rng is not None else np.random.default_rng(0)
-        if warm_start is not None:
-            if len(warm_start.states) != len(self.community.customers):
-                raise ValueError(
-                    f"warm start has {len(warm_start.states)} archetype states "
-                    f"for {len(self.community.customers)} archetypes"
-                )
-            states = list(warm_start.states)
-        else:
-            states = [self.initial_state(c) for c in self.community.customers]
+        states = [self.initial_state(c) for c in self.community.customers]
         counts = self.community.counts
         tradings = [s.trading for s in states]
         total = np.zeros(self.community.horizon)
@@ -408,7 +383,6 @@ class SchedulingGame:
                             rng,
                             multiplicity=count,
                             hysteresis_scale=float(rounds),
-                            ce_std_scale=ce_std_scale,
                         )
                     new_trading = new_state.trading
                     delta = float(np.max(np.abs(new_trading - tradings[index])))

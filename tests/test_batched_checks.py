@@ -4,8 +4,8 @@
 and reads each solution's memoized PAR.  It must stay indistinguishable
 from the historical composition of public calls — ``prefetch(rows)``
 then ``check(row, rng=rng)`` per meter — in its verdicts, in the noise
-draws it consumes and in the cache traffic it books.  Simulators only
-index solved prices for warm-starting when warm-starting is on.
+draws it consumes and in the cache traffic it books.  Prefetching itself
+is bitwise-neutral.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ FAST = GameConfig(
 SOLVERS = {
     "default": SolverConfig(),
     "sequential": SolverConfig(batch_games=False),
-    "warm": SolverConfig(warm_start=True, warm_start_max_distance=10.0),
 }
 
 PREDICTED = np.linspace(0.02, 0.04, HORIZON)
@@ -140,36 +139,11 @@ def test_audit_path_observe_checks_matches_the_loop(community):
     assert traffic == expected_traffic
 
 
-class TestPriceIndex:
-    """Only ``nearest`` reads the warm-start price index, and only warm
-    simulators call it, so cold simulators do not register."""
-
-    def test_cold_simulator_leaves_index_empty(self, community):
-        cache = GameSolutionCache(max_entries=4)
-        simulator = CommunityResponseSimulator(community, config=FAST, seed=1, cache=cache)
-        for i in range(40):
-            simulator.response(np.full(HORIZON, 0.01 + 0.001 * i))
-        simulator.prefetch([np.full(HORIZON, 0.5), np.full(HORIZON, 0.6)])
-        assert cache.size == 4
-        assert cache._price_index == {}
-
-    def test_warm_nearest_unchanged_by_cold_traffic(self, community):
-        warm_solver = SOLVERS["warm"]
-        cache = GameSolutionCache()
-        warm = CommunityResponseSimulator(
-            community, config=FAST, seed=1, cache=cache, solver=warm_solver
-        )
-        cold = CommunityResponseSimulator(community, config=FAST, seed=1, cache=cache)
-        vectors = [CLEAN, ATTACKED, CLEAN * 1.05]
-        for p in vectors:
-            warm.response(p)
-            cold.response(p)
-        cold.prefetch([SECOND_ATTACK])
-        warm_context = warm._context_key
-
-        assert list(cache._price_index) == [warm_context]
-        hit = cache.nearest(warm_context, CLEAN * 1.04)
-        assert hit is not None
-        assert hit.result is warm.response(CLEAN * 1.05)
-        assert hit.distance == pytest.approx(float(np.max(CLEAN * 0.01)))
-        assert cache.nearest(warm_context, SECOND_ATTACK, max_distance=0.001) is None
+def test_prefetch_then_response_matches_unprefetched(community):
+    """Batched lockstep prefetching reproduces the sequential solves."""
+    vectors = [CLEAN, CLEAN * 1.05, CLEAN * 0.9]
+    prefetched = CommunityResponseSimulator(community, config=FAST, seed=3)
+    prefetched.prefetch(vectors)
+    direct = CommunityResponseSimulator(community, config=FAST, seed=3)
+    for p in vectors:
+        assert prefetched.response(p) == direct.response(p)

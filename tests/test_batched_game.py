@@ -5,8 +5,7 @@ seed, different price vectors) in lockstep so the CE population, DP
 tables and cost kernels run once per batch instead of once per game.
 The contract is bitwise: entry ``g`` must equal the result of solving
 game ``g`` alone through :class:`SchedulingGame`.  These tests pin that
-contract for cold starts, warm starts, mixed batches and both kernel
-backends.
+contract for every named tariff and both kernel backends.
 """
 
 from __future__ import annotations
@@ -58,29 +57,22 @@ def _sequential(
     price_vectors,
     *,
     seed: int = 0,
-    warm_starts=None,
-    ce_std_scale: float = 1.0,
     backend: str | None = None,
     tariff=None,
 ) -> list[GameResult]:
-    results = []
-    for g, prices in enumerate(price_vectors):
-        warm = warm_starts[g] if warm_starts is not None else None
-        results.append(
-            SchedulingGame(
-                community,
-                prices,
-                sellback_divisor=2.0,
-                config=FAST,
-                backend=backend,
-                tariff=tariff,
-            ).solve(
-                rng=np.random.default_rng(seed),  # repro: noqa[SEED003] lockstep oracle: same stream per game on purpose
-                warm_start=warm,
-                ce_std_scale=ce_std_scale if warm is not None else 1.0,
-            )
+    return [
+        SchedulingGame(
+            community,
+            prices,
+            sellback_divisor=2.0,
+            config=FAST,
+            backend=backend,
+            tariff=tariff,
+        ).solve(
+            rng=np.random.default_rng(seed),  # repro: noqa[SEED003] lockstep oracle: same stream per game on purpose
         )
-    return results
+        for prices in price_vectors
+    ]
 
 
 def assert_results_equal(batched: GameResult, single: GameResult) -> None:
@@ -136,50 +128,6 @@ class TestColdBatch:
             solve_games(
                 community, [np.full(HORIZON + 1, 0.03)], config=FAST
             )
-
-
-class TestWarmBatch:
-    def test_warm_batch_matches_sequential(self, community):
-        base = _prices(1)[0]
-        [warm_source] = solve_games(community, [base], config=FAST)
-        prices = [base * 1.02, base * 0.97, base + 0.001]
-        warm_starts = [warm_source] * len(prices)
-        batched = solve_games(
-            community, prices, config=FAST, warm_starts=warm_starts,
-            ce_std_scale=0.25,
-        )
-        sequential = _sequential(
-            community, prices, warm_starts=warm_starts, ce_std_scale=0.25
-        )
-        for b, s in zip(batched, sequential):
-            assert_results_equal(b, s)
-
-    def test_mixed_warm_and_cold_batch(self, community):
-        base = _prices(1)[0]
-        [warm_source] = solve_games(community, [base], config=FAST)
-        prices = [base * 1.01, base * 0.5, base * 0.99]
-        warm_starts = [warm_source, None, warm_source]
-        batched = solve_games(
-            community, prices, config=FAST, warm_starts=warm_starts,
-            ce_std_scale=0.25,
-        )
-        sequential = _sequential(
-            community, prices, warm_starts=warm_starts, ce_std_scale=0.25
-        )
-        for b, s in zip(batched, sequential):
-            assert_results_equal(b, s)
-
-    def test_warm_start_is_deterministic(self, community):
-        base = _prices(1)[0]
-        [warm_source] = solve_games(community, [base], config=FAST)
-        runs = [
-            solve_games(
-                community, [base * 1.03], config=FAST,
-                warm_starts=[warm_source], ce_std_scale=0.25,
-            )[0]
-            for _ in range(2)
-        ]
-        assert_results_equal(runs[0], runs[1])
 
 
 def _sha256(*arrays) -> str:

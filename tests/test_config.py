@@ -168,7 +168,19 @@ CONFIG_CLASSES = [
 ]
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "value, refusal",
+    [
+        pytest.param(float("nan"), "must be finite, got nan", id="nan"),
+        pytest.param(float("inf"), "must be finite, got inf", id="inf"),
+        pytest.param(float("-inf"), "must be finite, got -inf", id="-inf"),
+        pytest.param("0.1", "must be a real number, got '0.1'", id="str"),
+        pytest.param(None, "must be a real number, got None", id="None"),
+        pytest.param(
+            10**400, "must be finite, got a number too large for a float", id="10**400"
+        ),
+    ],
+)
 @pytest.mark.parametrize(
     "cls, name",
     [
@@ -178,8 +190,9 @@ CONFIG_CLASSES = [
         if isinstance(spec.default, float)
     ],
 )
-def test_non_finite_fields_rejected(cls, name, value):
-    """NaN passes the ordered range checks, so every float field is
-    checked for finiteness first."""
-    with pytest.raises(ConfigError, match=f"{name} must be finite, got {value}"):
+def test_non_finite_fields_rejected(cls, name, value, refusal):
+    """NaN passes the ordered range checks, and a checkpoint's JSON can
+    carry a string, ``null`` or an integer too large for a float, so
+    every float field is checked first."""
+    with pytest.raises(ConfigError, match=f"{name} {refusal}"):
         cls(**{name: value})

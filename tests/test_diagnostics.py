@@ -56,7 +56,8 @@ class TestNashGap:
         assert report.max_relative_gap < 0.2
 
     def test_initial_state_has_larger_gap(self, solved_game):
-        """The warm start is further from equilibrium than the solution."""
+        """The greedy initial state is further from equilibrium than the
+        solution."""
         game, result = solved_game
         from repro.scheduling.game import GameResult
 

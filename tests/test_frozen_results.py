@@ -2,9 +2,9 @@
 
 ``GameResult`` sums its community aggregates once, at construction, and
 serves them as read-only arrays; the PAR of its grid demand is computed
-on first read.  Every way a result comes into being — a sequential
-solve, a lockstep batch entry, a reload from the on-disk cache tier —
-must give aggregates bitwise equal to the historical per-access sums.
+on first read.  Both ways a result comes into being — a sequential
+solve and a lockstep batch entry — must give aggregates bitwise equal
+to the historical per-access sums.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from repro.scheduling.appliance import ApplianceSchedule
 from repro.scheduling.batch import solve_games
 from repro.scheduling.customer import CustomerState
 from repro.scheduling.game import Community, GameResult, SchedulingGame
-from repro.simulation.cache import GameSolutionCache
 from tests.conftest import HORIZON, make_customer
 
 FAST = GameConfig(
@@ -54,33 +53,19 @@ def _solved(community, prices):
     return game.solve(rng=np.random.default_rng(3))
 
 
-def _from_solve(community, prices, tmp_path):
-    return _solved(community, prices)
-
-
-def _from_solve_games(community, prices, tmp_path):
+def _from_solve_games(community, prices):
     return solve_games(community, [prices * 1.1, prices], config=FAST, seed=3)[1]
 
 
-def _from_disk(community, prices, tmp_path):
-    writer = GameSolutionCache(directory=tmp_path)
-    writer.put("k", _solved(community, prices), community=community)
-    reader = GameSolutionCache(directory=tmp_path)  # cold memory tier
-    return reader.get_or_solve(
-        "k", lambda: pytest.fail("must load from disk"), community=community
-    )
-
-
 SOURCES = {
-    "solve": _from_solve,
+    "solve": _solved,
     "solve_games": _from_solve_games,
-    "disk": _from_disk,
 }
 
 
 @pytest.fixture(params=sorted(SOURCES))
-def result(request, community, prices, tmp_path) -> GameResult:
-    return SOURCES[request.param](community, prices, tmp_path)
+def result(request, community, prices) -> GameResult:
+    return SOURCES[request.param](community, prices)
 
 
 def _recomputed(result: GameResult) -> dict[str, np.ndarray]:

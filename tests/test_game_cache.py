@@ -28,18 +28,6 @@ def _solve(community, prices, *, seed=3):
     return game.solve(rng=np.random.default_rng(seed))
 
 
-def _assert_results_equal(a, b):
-    assert a.rounds == b.rounds
-    assert a.converged == b.converged
-    assert a.counts == b.counts
-    assert a.residuals == pytest.approx(b.residuals)
-    np.testing.assert_array_equal(a.grid_demand, b.grid_demand)
-    for state_a, state_b in zip(a.states, b.states):
-        assert state_a.battery_decision == state_b.battery_decision
-        for sched_a, sched_b in zip(state_a.schedules, state_b.schedules):
-            assert sched_a.power == sched_b.power
-
-
 class TestKeys:
     def test_community_fingerprint_stable(self, small_community):
         assert community_fingerprint(small_community) == community_fingerprint(
@@ -125,23 +113,6 @@ class TestGameSolutionCache:
     def test_rejects_bad_bound(self):
         with pytest.raises(ValueError):
             GameSolutionCache(max_entries=0)
-
-    def test_disk_round_trip(self, small_community, prices, tmp_path):
-        writer = GameSolutionCache(directory=tmp_path)
-        original = writer.get_or_solve(
-            "k", lambda: _solve(small_community, prices), community=small_community
-        )
-        assert (tmp_path / "k.npz").exists()
-        assert (tmp_path / "manifest.json").exists()
-
-        reader = GameSolutionCache(directory=tmp_path)  # cold memory tier
-        reloaded = reader.get_or_solve(
-            "k",
-            lambda: pytest.fail("must load from disk"),
-            community=small_community,
-        )
-        assert reader.hits == 1
-        _assert_results_equal(original, reloaded)
 
 
 class TestSimulatorSharing:

@@ -10,6 +10,7 @@ import checks run fresh interpreters: this pytest process already holds
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -60,6 +61,14 @@ def test_cli_import_loads_no_scipy():
     loaded = _fresh("import repro.cli; " + _LOADED)
     assert "numpy" in loaded
     assert [m for m in loaded if m.startswith("scipy")] == []
+
+
+def test_cli_import_loads_no_example_only_module():
+    """Billing and stealthy-attack planning serve only the examples, and
+    the renewable forecaster is gone; a CLI process loads none of them."""
+    loaded = _fresh("import json, sys, repro.cli; print(json.dumps(sorted(sys.modules)))")
+    unused = re.compile(r"repro\.(billing|attacks\.stealth|prediction\.renewable)(\.|$)")
+    assert [m for m in loaded if unused.match(m)] == []
 
 
 def test_lint_import_loads_neither_numpy_nor_scipy():

@@ -167,26 +167,49 @@ class TestCheckpointFormat:
                 resume_engine(payload)
 
     @pytest.mark.parametrize(
-        "section, name, value",
+        "section, name, value, refusal",
         [
-            pytest.param("pricing", "sellback_divisor", float("nan"), id="nan"),
-            pytest.param("pricing", "sellback_divisor", float("inf"), id="inf"),
-            pytest.param("game", "hysteresis", float("nan"), id="game-nan"),
+            pytest.param("pricing", "sellback_divisor", float("nan"), None, id="nan"),
+            pytest.param("pricing", "sellback_divisor", float("inf"), None, id="inf"),
+            pytest.param("game", "hysteresis", float("nan"), None, id="game-nan"),
             pytest.param(
-                "detection", "damage_per_meter", float("inf"), id="detection-inf"
+                "detection", "damage_per_meter", float("inf"), None, id="detection-inf"
             ),
-            pytest.param("battery", "max_charge_kw", float("nan"), id="battery-nan"),
-            pytest.param("solar", "peak_kw", float("inf"), id="solar-inf"),
             pytest.param(
-                "solver", "warm_start_max_distance", float("nan"), id="solver-nan"
+                "battery", "max_charge_kw", float("nan"), None, id="battery-nan"
+            ),
+            pytest.param("solar", "peak_kw", float("inf"), None, id="solar-inf"),
+            pytest.param(
+                "game",
+                "hysteresis",
+                "0.1",
+                "hysteresis must be a real number",
+                id="game-str",
+            ),
+            pytest.param(
+                "game",
+                "hysteresis",
+                10**400,
+                "hysteresis must be finite",
+                id="game-401-digit-int",
+            ),
+            # A checkpoint written while the solver had warm-start
+            # settings: its retired key is refused, not ignored.
+            pytest.param(
+                "solver",
+                "warm_start",
+                False,
+                "SolverConfig has no field 'warm_start'",
+                id="solver-retired-key",
             ),
         ],
     )
     def test_resume_rejects_non_finite_pricing(
-        self, tiny_config, cache, tmp_path, monkeypatch, section, name, value
+        self, tiny_config, cache, tmp_path, monkeypatch, section, name, value, refusal
     ):
-        """JSON reads NaN and Infinity literals; the config refuses them
-        before any engine is built, in every config section."""
+        """JSON reads NaN and Infinity literals, strings, huge integers
+        and unknown keys; the config refuses them before any engine is
+        built, in every config section."""
         import repro.stream.pipeline as pipeline
         from repro.core.config import ConfigError
 
@@ -201,7 +224,7 @@ class TestCheckpointFormat:
 
         monkeypatch.setattr(pipeline, "build_synthetic_engine", no_build)
         monkeypatch.setattr(pipeline, "build_replay_engine", no_build)
-        with pytest.raises(ConfigError, match=f"{name} must be finite"):
+        with pytest.raises(ConfigError, match=refusal or f"{name} must be finite"):
             resume_engine(path, cache=cache)
 
     def test_no_tmp_file_left_behind(self, tiny_config, cache, tmp_path):

@@ -28,7 +28,7 @@ from repro.detection import single_event
 from repro.detection.single_event import CommunityResponseSimulator
 from repro.simulation.cache import GameSolutionCache
 
-SOLVER = SolverConfig(backend="reference", batch_games=False, warm_start=True)
+SOLVER = SolverConfig(backend="reference", batch_games=False)
 
 
 @pytest.fixture(scope="module")
