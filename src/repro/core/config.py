@@ -22,17 +22,30 @@ class ConfigError(ValueError):
     """Raised when a configuration dataclass is constructed inconsistently."""
 
 
-def _require_finite(config: Any) -> None:
-    """Refuse anything but a finite real number in every ``float`` field.
+def _is_integer(value: Any) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _require_typed(config: Any) -> None:
+    """Refuse anything but a finite real number in every ``float`` field
+    and anything but an integer in every ``int`` field.
 
     NaN passes every ordered comparison in the range checks, and JSON
     checkpoints can carry NaN and Infinity literals, strings, ``null``,
-    booleans and integers too large for a float.  Field types are
-    compared as strings: this module's annotations are postponed.
+    booleans, fractions and integers too large for a float.  Field types
+    are compared as strings: this module's annotations are postponed.
     """
     for spec in fields(config):
+        value = getattr(config, spec.name)
+        if spec.type == "int" and not _is_integer(value):
+            raise ConfigError(f"{spec.name} must be an integer, got {value!r}")
+        if spec.type == "tuple[int, int]" and not (
+            isinstance(value, tuple) and len(value) == 2 and all(map(_is_integer, value))
+        ):
+            raise ConfigError(
+                f"{spec.name} must be a pair of integers, got {value!r}"
+            )
         if spec.type == "float":
-            value = getattr(config, spec.name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ConfigError(
                     f"{spec.name} must be a real number, got {value!r}"
@@ -50,8 +63,11 @@ def _require_finite(config: Any) -> None:
 _Section = TypeVar("_Section", bound="DataclassInstance")
 
 
-def _section(cls: type[_Section], data: dict[str, Any]) -> _Section:
-    """Build one config section, refusing keys its dataclass lacks."""
+def _section(cls: type[_Section], data: Any) -> _Section:
+    """Build one config section, refusing a section that is not an
+    object and keys its dataclass lacks."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{cls.__name__} section must be an object, got {data!r}")
     known = {spec.name for spec in fields(cls)}
     for key in data:
         if key not in known:
@@ -78,7 +94,7 @@ class TimeGrid:
     n_days: int = 1
 
     def __post_init__(self) -> None:
-        _require_finite(self)
+        _require_typed(self)
         if self.slots_per_day < 1:
             raise ConfigError(f"slots_per_day must be >= 1, got {self.slots_per_day}")
         if self.n_days < 1:
@@ -132,7 +148,7 @@ class BatteryConfig:
     max_discharge_kw: float = 1.0
 
     def __post_init__(self) -> None:
-        _require_finite(self)
+        _require_typed(self)
         if self.capacity_kwh < 0:
             raise ConfigError(f"capacity_kwh must be >= 0, got {self.capacity_kwh}")
         if not 0 <= self.initial_kwh <= max(self.capacity_kwh, 0):
@@ -158,7 +174,7 @@ class SolarConfig:
     cloud_reversion: float = 0.5
 
     def __post_init__(self) -> None:
-        _require_finite(self)
+        _require_typed(self)
         if self.peak_kw < 0:
             raise ConfigError(f"peak_kw must be >= 0, got {self.peak_kw}")
         if not 0 <= self.sunrise_hour < self.sunset_hour <= 24:
@@ -189,7 +205,7 @@ class PricingConfig:
     sellback_divisor: float = 1.5
 
     def __post_init__(self) -> None:
-        _require_finite(self)
+        _require_typed(self)
         if self.base_price < 0:
             raise ConfigError(f"base_price must be >= 0, got {self.base_price}")
         if self.demand_slope < 0:
@@ -224,7 +240,7 @@ class GameConfig:
     ce_smoothing: float = 0.7
 
     def __post_init__(self) -> None:
-        _require_finite(self)
+        _require_typed(self)
         if self.max_rounds < 1:
             raise ConfigError("max_rounds must be >= 1")
         if self.inner_iterations < 1:
@@ -263,7 +279,7 @@ class DetectionConfig:
     n_monitored_meters: int = 12
 
     def __post_init__(self) -> None:
-        _require_finite(self)
+        _require_typed(self)
         if self.par_threshold < 0:
             raise ConfigError("par_threshold must be >= 0")
         if self.margin_noise_std < 0:
@@ -286,17 +302,13 @@ class SolverConfig:
 
     Nothing here changes *what* is solved — only how fast.  ``backend``
     picks the kernel implementation (all registered backends are
-    bitwise-identical; see :mod:`repro.kernels`), ``batch_games`` turns
-    on lockstep batching of independent solves
-    (:func:`repro.scheduling.batch.solve_games`, also bitwise-identical
-    to the sequential loop).
+    bitwise-identical; see :mod:`repro.kernels`).
     """
 
     backend: str = "auto"
-    batch_games: bool = True
 
     def __post_init__(self) -> None:
-        _require_finite(self)
+        _require_typed(self)
         if not self.backend:
             raise ConfigError("backend must be a non-empty name or 'auto'")
 
@@ -336,7 +348,7 @@ class RetryPolicy:
     backoff_max_s: float = 1.0
 
     def __post_init__(self) -> None:
-        _require_finite(self)
+        _require_typed(self)
         if self.max_retries < 0:
             raise ConfigError(f"max_retries must be >= 0, got {self.max_retries}")
         if self.backoff_base_s < 0:
@@ -401,7 +413,7 @@ class CommunityConfig:
     seed: int = 2015
 
     def __post_init__(self) -> None:
-        _require_finite(self)
+        _require_typed(self)
         if self.n_customers < 1:
             raise ConfigError("n_customers must be >= 1")
         lo, hi = self.appliances_per_customer
@@ -448,10 +460,15 @@ def config_from_dict(payload: dict[str, Any]) -> CommunityConfig:
         from repro.tariffs.base import tariff_from_dict
 
         tariff = tariff_from_dict(data["tariff"])
+    # Scalars pass through uncoerced, so the dataclass checks refuse a
+    # value of the wrong type; only a JSON array becomes a tuple.
+    appliances = data["appliances_per_customer"]
     return CommunityConfig(
-        n_customers=int(data["n_customers"]),
-        appliances_per_customer=tuple(data["appliances_per_customer"]),
-        pv_adoption=float(data["pv_adoption"]),
+        n_customers=data["n_customers"],
+        appliances_per_customer=(
+            tuple(appliances) if isinstance(appliances, list) else appliances
+        ),
+        pv_adoption=data["pv_adoption"],
         time=_section(TimeGrid, data["time"]),
         battery=_section(BatteryConfig, data["battery"]),
         solar=_section(SolarConfig, data["solar"]),
@@ -462,5 +479,5 @@ def config_from_dict(payload: dict[str, Any]) -> CommunityConfig:
         # "solver" section; defaults reproduce the historical behaviour.
         solver=_section(SolverConfig, data.get("solver", {})),
         tariff=tariff,
-        seed=int(data["seed"]),
+        seed=data["seed"],
     )

@@ -35,7 +35,7 @@ from repro.core.config import GameConfig, SolverConfig
 from repro.kernels import KernelBackend
 from repro.metrics.par import par_increase
 from repro.scheduling.batch import solve_games
-from repro.scheduling.game import Community, GameResult, SchedulingGame
+from repro.scheduling.game import Community, GameResult
 from repro.simulation.cache import (
     GameSolutionCache,
     solution_key,
@@ -71,9 +71,10 @@ class CommunityResponseSimulator:
         content-addressed over the full solve context, so sharing is
         always safe.
     solver:
-        Execution strategy (kernel backend, lockstep batching of
-        :meth:`prefetch`).  Every setting is bitwise-identical to the
-        historical sequential path.
+        Execution strategy: the kernel backend.  Every backend gives
+        the same bits.  Every solve, a cache miss's one game or a
+        :meth:`prefetch` batch, runs through
+        :func:`repro.scheduling.batch.solve_games`.
     tariff:
         Optional pricing rule from :mod:`repro.tariffs`.  ``None`` (the
         default) is the paper's flat net-metering tariff through the
@@ -145,32 +146,17 @@ class CommunityResponseSimulator:
     def prefetch(self, price_vectors: Iterable[ArrayLike]) -> int:
         """Solve every not-yet-cached price vector in one lockstep batch.
 
-        Returns the number of games solved.  With ``solver.batch_games``
-        (the default) the pending solves run through
-        :func:`repro.scheduling.batch.solve_games`, which is
+        Returns the number of games solved.  The pending solves run
+        through :func:`repro.scheduling.batch.solve_games`, which is
         bitwise-identical to solving them one at a time — prefetching is
         purely a wall-clock optimization, and the cache's hit/miss totals
-        match the sequential path (each batched solve books one miss, the
-        later lookup one hit).
+        match one lookup per vector (each batched solve books one miss,
+        the later lookup one hit).
         """
         pending = self._unsolved(self._keyed(price_vectors))
-        if not pending:
-            return 0
-        if not self.solver.batch_games or len(pending) == 1:
-            for key, p in pending.items():
-                self.cache.put(key, self._solve(p))
-            return len(pending)
-        results = solve_games(
-            self.community,
-            [np.maximum(p, 0.0) for p in pending.values()],
-            sellback_divisor=self.sellback_divisor,
-            config=self.config,
-            seed=self.seed,
-            backend=self.solver.backend,
-            tariff=self.tariff,
-        )
-        for key, result in zip(pending, results):
-            self.cache.put(key, result)
+        if pending:
+            for key, result in zip(pending, self._solve(list(pending.values()))):
+                self.cache.put(key, result)
         return len(pending)
 
     def _validated(self, prices: ArrayLike) -> NDArray[np.float64]:
@@ -210,18 +196,19 @@ class CommunityResponseSimulator:
         return pending
 
     def _lookup(self, key: str, p: NDArray[np.float64]) -> GameResult:
-        return self.cache.get_or_solve(key, lambda: self._solve(p))
+        return self.cache.get_or_solve(key, lambda: self._solve([p])[0])
 
-    def _solve(self, p: NDArray[np.float64]) -> GameResult:
-        game = SchedulingGame(
+    def _solve(self, price_vectors: list[NDArray[np.float64]]) -> list[GameResult]:
+        """One lockstep batch over the vectors, negative prices floored at 0."""
+        return solve_games(
             self.community,
-            np.maximum(p, 0.0),
+            [np.maximum(p, 0.0) for p in price_vectors],
             sellback_divisor=self.sellback_divisor,
             config=self.config,
+            seed=self.seed,
             backend=self.solver.backend,
             tariff=self.tariff,
         )
-        return game.solve(rng=np.random.default_rng(self.seed))
 
     def grid_par(self, prices: ArrayLike) -> float:
         """PAR of the grid demand the community would draw under ``prices``."""

@@ -4,7 +4,7 @@ The scheduling game spends essentially all of its time in three array
 kernels: projecting cross-entropy battery populations onto the feasible
 trajectory set, scoring those populations under any tariff's buy and
 sell rates (Eqn. 2), and the backward dynamic program over appliance
-power levels.  This module defines the :class:`KernelBackend` protocol
+power levels, run for a stack of games at once.  This module defines the :class:`KernelBackend` protocol
 those kernels are routed through, so alternative implementations (a
 fused numpy variant, a future C extension) can be swapped in via
 configuration without touching the solver logic.
@@ -88,22 +88,6 @@ class KernelBackend(Protocol):
         """
         ...
 
-    def dp_backward(
-        self,
-        cost_table: FloatArray,
-        level_units: IntArray,
-        n_states: int,
-        mask: BoolArray,
-    ) -> tuple[FloatArray, Int16Array]:
-        """Backward value recursion of the appliance DP.
-
-        ``cost_table`` has shape ``(H, L)``; returns ``(value, choice)``
-        with ``value`` of shape ``(S,)`` (minimal cost to consume exactly
-        ``r`` units from slot 0 on) and ``choice`` of shape ``(H, S)``
-        (level index chosen at each slot/state).
-        """
-        ...
-
     def dp_backward_batch(
         self,
         cost_tables: FloatArray,
@@ -111,11 +95,13 @@ class KernelBackend(Protocol):
         n_states: int,
         mask: BoolArray,
     ) -> tuple[FloatArray, Int16Array]:
-        """Batched :meth:`dp_backward` over a leading game axis.
+        """Backward value recursion of the appliance DP, one table per game.
 
         ``cost_tables`` has shape ``(G, H, L)``; returns ``(values,
-        choices)`` of shapes ``(G, S)`` and ``(G, H, S)``, row ``g``
-        bitwise-identical to ``dp_backward(cost_tables[g], ...)``.
+        choices)`` of shapes ``(G, S)`` (minimal cost to consume exactly
+        ``r`` units from slot 0 on) and ``(G, H, S)`` (level index chosen
+        at each slot/state; 0 outside ``mask``).  Row ``g`` depends on
+        ``cost_tables[g]`` alone.
         """
         ...
 

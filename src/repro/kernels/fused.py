@@ -19,10 +19,10 @@ and ufunc-dispatch overhead without changing a single output bit:
   matches the reference exactly (IEEE addition/multiplication are
   commutative, but association order is preserved anyway).
 - **DP**: the per-level masked update is kept verbatim (a min/argmin
-  rewrite could flip the sign of zero on exact ties); the win is the
-  batched variant, which runs the identical update elementwise over a
-  leading game axis — one ufunc dispatch per (slot, level) for the
-  whole batch instead of per game.
+  rewrite could flip the sign of zero on exact ties), but it runs
+  elementwise over the leading game axis — one ufunc dispatch per
+  (slot, level) for the whole batch instead of per game — into buffers
+  reused across slots, and writes choices straight into the output.
 
 Preconditions (guaranteed by the in-pipeline callers, asserted nowhere
 for speed): ``clamp_decisions`` requires finite rows already clipped to
@@ -39,7 +39,6 @@ from repro.kernels.base import (
     Int16Array,
     IntArray,
 )
-from repro.kernels.reference import ReferenceBackend
 
 _INF = np.inf
 
@@ -48,9 +47,6 @@ class FusedBackend:
     """Buffer-reusing numpy kernels, bitwise-equal to the reference."""
 
     name = "fused"
-
-    def __init__(self) -> None:
-        self._reference = ReferenceBackend()
 
     def clamp_decisions(
         self,
@@ -108,6 +104,10 @@ class FusedBackend:
         cost = np.where(y >= 0, buy, total)
         return np.asarray(cost.sum(axis=-1), dtype=float)
 
+    # No solver calls this one-game form; the benchmark's traced run
+    # (perfbench/ledger.py) looks ``dp_backward`` up in this class's
+    # ``__dict__`` to time it, so it stays as a one-game call of the batch
+    # kernel.
     def dp_backward(
         self,
         cost_table: FloatArray,
@@ -115,7 +115,10 @@ class FusedBackend:
         n_states: int,
         mask: BoolArray,
     ) -> tuple[FloatArray, Int16Array]:
-        return self._reference.dp_backward(cost_table, level_units, n_states, mask)
+        values, choices = self.dp_backward_batch(
+            cost_table[None, :, :], level_units, n_states, mask
+        )
+        return values[0], choices[0]
 
     def dp_backward_batch(
         self,
@@ -125,27 +128,30 @@ class FusedBackend:
         mask: BoolArray,
     ) -> tuple[FloatArray, Int16Array]:
         n_games, horizon, _ = cost_tables.shape
+        # costs[h, j] is the (G, 1) column of level j's cost in slot h.
+        costs = cost_tables.transpose(1, 2, 0)[..., None]
         value = np.full((n_games, n_states), _INF)
         value[:, 0] = 0.0
-        choices = np.zeros((n_games, horizon, n_states), dtype=np.int16)
+        best = np.empty((n_games, n_states))
         candidate = np.empty((n_games, n_states))
+        improved = np.empty((n_games, n_states), dtype=bool)
+        # Slots outside the mask keep choice 0.
+        choices = np.zeros((n_games, horizon, n_states), dtype=np.int16)
         for h in range(horizon - 1, -1, -1):
             if not mask[h]:
-                choices[:, h, :] = 0
                 continue
-            best = np.full((n_games, n_states), _INF)
-            best_choice = np.zeros((n_games, n_states), dtype=np.int16)
+            best.fill(_INF)
+            best_choice = choices[:, h, :]
             for j, du in enumerate(level_units):
-                cost_j = cost_tables[:, h, j][:, None]
+                cost_j = costs[h, j]
                 if du == 0:
                     np.add(value, cost_j, out=candidate)
                 else:
                     candidate.fill(_INF)
                     if du < n_states:
                         np.add(value[:, :-du], cost_j, out=candidate[:, du:])
-                improved = candidate < best
-                best[improved] = candidate[improved]
+                np.less(candidate, best, out=improved)
+                np.copyto(best, candidate, where=improved)
                 best_choice[improved] = j
             value, best = best, value
-            choices[:, h, :] = best_choice
         return value, choices

@@ -4,8 +4,8 @@ Every kernel here reproduces — operation for operation — the code paths
 the golden-master digests were recorded against
 (:func:`repro.netmetering.battery.clamp_trajectory_batch`, the battery
 cost as :func:`repro.netmetering.cost.cost_terms` prices it, and the
-backward loop of :func:`repro.scheduling.dp.schedule_appliance_table`).
-Accelerated backends are validated bitwise against this one.
+appliance DP's backward loop, run one game at a time).  Accelerated
+backends are validated bitwise against this one.
 """
 
 from __future__ import annotations
@@ -73,39 +73,6 @@ class ReferenceBackend:
         )
         return np.asarray(cost.sum(axis=-1), dtype=float)
 
-    def dp_backward(
-        self,
-        cost_table: FloatArray,
-        level_units: IntArray,
-        n_states: int,
-        mask: BoolArray,
-    ) -> tuple[FloatArray, Int16Array]:
-        horizon = cost_table.shape[0]
-        value = np.full(n_states, _INF)
-        value[0] = 0.0
-        choice = np.zeros((horizon, n_states), dtype=np.int16)
-        for h in range(horizon - 1, -1, -1):
-            if not mask[h]:
-                choice[h, :] = 0
-                continue
-            best = np.full(n_states, _INF)
-            best_choice = np.zeros(n_states, dtype=np.int16)
-            for j, du in enumerate(level_units):
-                cost_j = cost_table[h, j]
-                if not np.isfinite(cost_j):
-                    continue
-                if du == 0:
-                    candidate = value + cost_j
-                else:
-                    candidate = np.full(n_states, _INF)
-                    candidate[du:] = value[:-du] + cost_j if du < n_states else _INF
-                improved = candidate < best
-                best[improved] = candidate[improved]
-                best_choice[improved] = j
-            value = best
-            choice[h, :] = best_choice
-        return value, choice
-
     def dp_backward_batch(
         self,
         cost_tables: FloatArray,
@@ -115,9 +82,28 @@ class ReferenceBackend:
     ) -> tuple[FloatArray, Int16Array]:
         n_games, horizon, _ = cost_tables.shape
         values = np.empty((n_games, n_states))
-        choices = np.empty((n_games, horizon, n_states), dtype=np.int16)
+        choices = np.zeros((n_games, horizon, n_states), dtype=np.int16)
         for g in range(n_games):
-            values[g], choices[g] = self.dp_backward(
-                cost_tables[g], level_units, n_states, mask
-            )
+            value = np.full(n_states, _INF)
+            value[0] = 0.0
+            for h in range(horizon - 1, -1, -1):
+                if not mask[h]:
+                    continue
+                best = np.full(n_states, _INF)
+                best_choice = np.zeros(n_states, dtype=np.int16)
+                for j, du in enumerate(level_units):
+                    cost_j = cost_tables[g, h, j]
+                    if not np.isfinite(cost_j):
+                        continue
+                    if du == 0:
+                        candidate = value + cost_j
+                    else:
+                        candidate = np.full(n_states, _INF)
+                        candidate[du:] = value[:-du] + cost_j if du < n_states else _INF
+                    improved = candidate < best
+                    best[improved] = candidate[improved]
+                    best_choice[improved] = j
+                value = best
+                choices[g, h, :] = best_choice
+            values[g] = value
         return values, choices

@@ -1,4 +1,7 @@
-"""Lockstep batched solver for independent scheduling games.
+"""Algorithm 1, the scheduling game's best-response loop, for many games at once.
+
+This is the package's one implementation of Algorithm 1;
+:class:`~repro.scheduling.game.SchedulingGame` is its one-game case.
 
 The detection pipeline repeatedly solves the *same community* under
 *different guideline-price vectors* with the *same solver seed*: the
@@ -9,18 +12,19 @@ customer best-responds against totals already updated this round — so
 customers cannot be batched inside a round without changing results.
 Independent *games*, however, march through identical control flow:
 per-customer CE seeds are fixed functions of customer identity, and the
-round-order generator draws the same permutations for every game sharing
-a seed.  This module therefore advances ``G`` games in lockstep, fusing
-every array operation across a leading game axis while keeping all
-accept/reject decisions per game.
+round order is one permutation per round, drawn from one generator
+shared by every game still active.  This module therefore advances
+``G`` games in lockstep, fusing every array operation across a leading
+game axis while keeping all accept/reject decisions per game.
 
 Bitwise contract: ``solve_games(community, [p1, ..., pG], ...)[g]`` is
 identical — every schedule, battery trajectory, round count and residual
-— to ``SchedulingGame(community, pg, ...).solve(rng=default_rng(seed))``.
+— to game ``g`` solved alone,
+``SchedulingGame(community, pg, ...).solve(rng=default_rng(seed))``.
 The batched reductions used (row-wise ``sum``/``mean``/``std``/
 ``argsort`` and elementwise broadcasting) are exact per-row matches of
 their one-game counterparts; ``tests/test_batched_game.py`` enforces the
-contract end to end.
+contract end to end and pins the bits of a game solved alone.
 
 Population layout: CE populations are ``(games, K, H)`` (population x
 games x slots collapsed onto kernels as ``(games * K, H)``); DP tables
@@ -36,11 +40,11 @@ from numpy.typing import ArrayLike, NDArray
 
 from repro.core.config import GameConfig
 from repro.kernels import KernelBackend, get_backend
-from repro.netmetering.cost import cost_terms, marginal_cost_terms
+from repro.netmetering.cost import CostModel, cost_terms, marginal_cost_terms
 from repro.obs.trace import TRACER
 from repro.optimization.cross_entropy import STD_FLOOR
 from repro.perf.counters import PERF
-from repro.scheduling.appliance import ApplianceSchedule, ApplianceTask
+from repro.scheduling.appliance import ApplianceSchedule
 from repro.scheduling.customer import Customer, CustomerState
 from repro.scheduling.dp import schedule_appliance_tables
 from repro.scheduling.game import Community, GameResult
@@ -49,7 +53,7 @@ from repro.tariffs import Tariff, cost_model_for
 FloatArray = NDArray[np.float64]
 
 
-class _LockstepState:
+class LockstepState:
     """Strategy arrays for one archetype across all games in the batch."""
 
     def __init__(self, customer: Customer, n_games: int) -> None:
@@ -58,25 +62,31 @@ class _LockstepState:
         self.power = np.zeros((n_games, len(customer.tasks), horizon))
         self.battery = np.zeros((n_games, horizon))
 
+    @classmethod
+    def of(cls, state: CustomerState) -> "LockstepState":
+        """A one-game state holding ``state``'s strategy."""
+        lockstep = cls(state.customer, 1)
+        for t, schedule in enumerate(state.schedules):
+            lockstep.power[0, t] = schedule.power
+        lockstep.battery[0] = state.battery_decision
+        return lockstep
+
     def loads(self, rows: NDArray[np.int_]) -> FloatArray:
         """Per-game household load, mirroring ``CustomerState.load``."""
-        total = np.broadcast_to(
-            self.customer.base_load_array, (rows.size, self.customer.horizon)
-        ).copy()
-        for t in range(len(self.customer.tasks)):
-            total += self.power[rows, t, :]
+        power = self.power[rows]
+        total = np.add(self.customer.base_load_array, power[:, 0])
+        for t in range(1, power.shape[1]):
+            total += power[:, t]
         return total
 
     def tradings(self, rows: NDArray[np.int_]) -> FloatArray:
         """Per-game trading amounts, mirroring ``CustomerState.trading``."""
-        load = self.loads(rows)
-        b0 = np.full(
-            (rows.size, 1), self.customer.battery.initial_kwh
-        )
-        full = np.concatenate([b0, self.battery[rows]], axis=1)
-        return np.asarray(
-            load + np.diff(full, axis=1) - self.customer.pv_array
-        )
+        battery = self.battery[rows]
+        # ``np.diff`` of the full trajectory, without building it.
+        delta = np.empty_like(battery)
+        np.subtract(battery[:, 0], self.customer.battery.initial_kwh, out=delta[:, 0])
+        np.subtract(battery[:, 1:], battery[:, :-1], out=delta[:, 1:])
+        return self.loads(rows) + delta - self.customer.pv_array
 
     def state_for(self, game: int) -> CustomerState:
         """Materialize one game's strategy as a ``CustomerState``."""
@@ -94,8 +104,8 @@ class _LockstepState:
 class LockstepGameSolver:
     """Solve ``G`` independent games over one community in lockstep.
 
-    See the module docstring for the batching argument; construction
-    mirrors :class:`~repro.scheduling.game.SchedulingGame` per game.
+    See the module docstring for the batching argument; every price
+    vector gets its own cost model, exposed as :attr:`cost_models`.
     """
 
     def __init__(
@@ -113,6 +123,8 @@ class LockstepGameSolver:
         self.community = community
         self.config = config if config is not None else GameConfig()
         self.backend = get_backend(backend)
+        # Hourly slots: a kW power level consumes that many kWh per slot,
+        # which keeps appliance loads, PV and trading in the same unit.
         self.slot_hours = 1.0
         horizon = community.horizon
         prices = np.stack(
@@ -120,17 +132,18 @@ class LockstepGameSolver:
         )
         if prices.shape != (len(price_vectors), horizon):
             raise ValueError(
-                f"price vectors must each have shape ({horizon},), "
+                f"prices must have shape ({horizon},) per game, "
                 f"got stacked shape {prices.shape}"
             )
-        # Per-game cost models run the same validation as the one-game
-        # solver (finite, non-negative prices); their rates, stacked one
-        # row per game, price every costing site below.  One tariff
-        # prices the whole batch, so the export cap is shared.
-        rates = [
-            cost_model_for(tariff, p, sellback_divisor=sellback_divisor).rates
+        # The cost models validate each game's prices (finite,
+        # non-negative); their rates, stacked one row per game, price
+        # every costing site below.  One tariff prices the whole batch,
+        # so the export cap is shared.
+        self.cost_models: tuple[CostModel, ...] = tuple(
+            cost_model_for(tariff, p, sellback_divisor=sellback_divisor)
             for p in prices
-        ]
+        )
+        rates = [model.rates for model in self.cost_models]
         self.buy_rates = np.stack([buy for buy, _, _ in rates])
         self.sell_rates = np.stack([sell for _, sell, _ in rates])
         self.export_cap_kwh = rates[0][2]
@@ -140,11 +153,17 @@ class LockstepGameSolver:
         self._slot_index = np.arange(horizon)
 
     # ------------------------------------------------------------------
-    # Cached static tables (identical to SchedulingGame._task_tables)
+    # Cached static tables
     # ------------------------------------------------------------------
     def _task_tables(
         self, customer: Customer, index: int
     ) -> tuple[FloatArray, FloatArray]:
+        """Cached (jitter table, power-level array) for one task.
+
+        Both are pure functions of static identity: the DP tie-break
+        jitter comes from a generator seeded by (customer, task), so
+        caching it is exact.
+        """
         key = (customer.customer_id, index)
         jitter = self._jitter_tables.get(key)
         if jitter is None:
@@ -163,29 +182,27 @@ class LockstepGameSolver:
     # ------------------------------------------------------------------
     # Initialization
     # ------------------------------------------------------------------
-    def _initial_states(self) -> list[_LockstepState]:
-        """Every game's greedy ``SchedulingGame.initial_state``."""
-        states = []
-        for customer in self.community.customers:
-            state = _LockstepState(customer, self.n_games)
-            for t, task in enumerate(customer.tasks):
-                levels = np.asarray(task.power_levels)
-                tables = (
-                    self.buy_rates[:, :, None]
-                    * levels[None, None, :]
-                    * self.slot_hours
-                )
-                schedules, _ = schedule_appliance_tables(
-                    task,
-                    tables,
-                    slot_hours=self.slot_hours,
-                    backend=self.backend,
-                )
-                for g, schedule in enumerate(schedules):
-                    state.power[g, t, :] = schedule.load
-            state.battery[:] = customer.battery.initial_kwh
-            states.append(state)
-        return states
+    def initial_state(self, customer: Customer) -> LockstepState:
+        """Every game's greedy initial state: price-only scheduling, idle
+        battery."""
+        state = LockstepState(customer, self.n_games)
+        for t, task in enumerate(customer.tasks):
+            levels = np.asarray(task.power_levels)
+            tables = (
+                self.buy_rates[:, :, None]
+                * levels[None, None, :]
+                * self.slot_hours
+            )
+            schedules, _ = schedule_appliance_tables(
+                task,
+                tables,
+                slot_hours=self.slot_hours,
+                backend=self.backend,
+            )
+            for g, schedule in enumerate(schedules):
+                state.power[g, t, :] = schedule.load
+        state.battery[:] = customer.battery.initial_kwh
+        return state
 
     # ------------------------------------------------------------------
     # Batched CE battery step
@@ -203,10 +220,10 @@ class LockstepGameSolver:
         """Batched CE over battery trajectories; one game per row.
 
         Mirrors :meth:`CrossEntropyOptimizer.minimize` exactly per row;
-        each game draws from its own freshly seeded generator (the same
-        per-customer deterministic seed the one-game path uses), so the
-        draw streams are identical to ``G`` sequential optimizations.
-        Returns ``(best_x, best_f)``.
+        each game draws from its own freshly seeded generator (a
+        per-customer deterministic seed, which makes the CE step a
+        function of its inputs, so the best-response map has fixed
+        points the outer loop can reach).  Returns ``(best_x, best_f)``.
         """
         spec = customer.battery
         cfg = self.config
@@ -216,40 +233,42 @@ class LockstepGameSolver:
         upper = np.full(horizon, spec.capacity_kwh)
         span = upper - lower
         pv = customer.pv_array
-        max_charge = spec.max_charge_kw * self.slot_hours
-        max_discharge = spec.max_discharge_kw * self.slot_hours
+        clamp = dict(
+            initial=spec.initial_kwh,
+            capacity=spec.capacity_kwh,
+            max_charge=spec.max_charge_kw * self.slot_hours,
+            max_discharge=spec.max_discharge_kw * self.slot_hours,
+        )
+        # Per-game inputs, and the same with a population axis.
+        flat = (load, others, buy_rates, sell_rates)
+        grouped = tuple(v[:, None, :] for v in flat)
 
         def project(decisions: FloatArray) -> FloatArray:
-            flat = decisions.reshape(-1, horizon)
-            out = backend.clamp_decisions(
-                flat,
-                initial=spec.initial_kwh,
-                capacity=spec.capacity_kwh,
-                max_charge=max_charge,
-                max_discharge=max_discharge,
-            )
+            out = backend.clamp_decisions(decisions.reshape(-1, horizon), **clamp)
             return np.asarray(out.reshape(decisions.shape))
 
-        def score(decisions: FloatArray, rows: NDArray[np.int_]) -> FloatArray:
-            grouped = decisions.ndim == 3
-            expand = (lambda v: v[:, None, :]) if grouped else (lambda v: v)
+        def score(
+            decisions: FloatArray,
+            inputs: tuple[FloatArray, ...],
+            rows: NDArray[np.int_] | slice,
+        ) -> FloatArray:
+            load_r, others_r, buy_r, sell_r = (v[rows] for v in inputs)
             return backend.battery_costs(
                 decisions,
                 initial=spec.initial_kwh,
-                load=expand(load[rows]),
+                load=load_r,
                 pv=pv,
-                others=expand(others[rows]),
-                buy_rates=expand(buy_rates[rows]),
-                sell_rates=expand(sell_rates[rows]),
+                others=others_r,
+                buy_rates=buy_r,
+                sell_rates=sell_r,
                 export_cap_kwh=self.export_cap_kwh,
                 multiplicity=multiplicity,
             )
 
         mean = np.clip(x0, lower, upper)
         std = np.tile(np.maximum(span / 4.0, STD_FLOOR), (n_games, 1))
-        all_rows = np.arange(n_games)
         start = project(mean.copy())
-        start_scores = score(start, all_rows)
+        start_scores = score(start, flat, slice(None))
         best_x = start.copy()
         best_f = np.where(np.isfinite(start_scores), start_scores, np.inf)
 
@@ -260,7 +279,7 @@ class LockstepGameSolver:
             for _ in range(n_games)
         ]
         n_iterations = np.zeros(n_games, dtype=int)
-        alive = all_rows
+        alive = alive_index = np.arange(n_games)
         span_id = TRACER.begin(
             "ce.minimize",
             category="optimization",
@@ -269,39 +288,45 @@ class LockstepGameSolver:
             n_samples=cfg.ce_samples,
             games=n_games,
         )
-        for _ in range(cfg.ce_iterations):
+        iteration = 0
+        for iteration in range(1, cfg.ce_iterations + 1):
             if not alive.size:
                 break
+            # A slice while every game is alive: views, not gathers.
+            rows = slice(None) if alive.size == n_games else alive
             samples = np.empty((alive.size, cfg.ce_samples, horizon))
-            for i, g in enumerate(alive):
+            for i, g in enumerate(alive.tolist()):
                 samples[i] = rngs[g].normal(
                     mean[g], std[g], size=(cfg.ce_samples, horizon)
                 )
             np.clip(samples, lower, upper, out=samples)
             samples = project(samples)
-            scores = score(samples, alive)
+            scores = score(samples, grouped, rows)
             PERF.add("ce.evaluations", cfg.ce_samples * alive.size)
             scores = np.where(np.isfinite(scores), scores, np.inf)
 
             elite_idx = np.argsort(scores, axis=1)[:, : cfg.ce_elites]
-            elites = np.take_along_axis(samples, elite_idx[:, :, None], axis=1)
+            elites = samples[alive_index[:, None], elite_idx]
             first = elite_idx[:, 0]
-            first_scores = scores[np.arange(alive.size), first]
-            for i, g in enumerate(alive):
-                if first_scores[i] < best_f[g]:
-                    best_f[g] = float(first_scores[i])
-                    best_x[g] = samples[i, first[i]].copy()
-            n_iterations[alive] += 1
+            first_scores = scores[alive_index, first]
+            better = np.flatnonzero(first_scores < best_f[rows])
+            if better.size:
+                best_f[alive[better]] = first_scores[better]
+                best_x[alive[better]] = samples[better, first[better]]
 
             new_mean = elites.mean(axis=1)
             new_std = elites.std(axis=1)
-            mean[alive] = cfg.ce_smoothing * new_mean + (1 - cfg.ce_smoothing) * mean[alive]
-            std[alive] = cfg.ce_smoothing * new_std + (1 - cfg.ce_smoothing) * std[alive]
-            done = np.all(std[alive] < STD_FLOOR, axis=1)
-            alive = alive[~done]
+            mean[rows] = cfg.ce_smoothing * new_mean + (1 - cfg.ce_smoothing) * mean[rows]
+            std[rows] = cfg.ce_smoothing * new_std + (1 - cfg.ce_smoothing) * std[rows]
+            done = np.all(std[rows] < STD_FLOOR, axis=1)
+            if done.any():
+                n_iterations[alive[done]] = iteration
+                alive = alive[~done]
+                alive_index = np.arange(alive.size)
+        n_iterations[alive] = iteration
         TRACER.end(span_id)
-        for n in n_iterations:
-            PERF.observe("ce.iterations", int(n))
+        for n in n_iterations.tolist():
+            PERF.observe("ce.iterations", n)
         if not np.all(np.isfinite(best_f)):
             raise RuntimeError(
                 "cross-entropy optimization never found a finite objective value"
@@ -314,27 +339,48 @@ class LockstepGameSolver:
     def _schedule_costs(
         self, tables: FloatArray, levels: FloatArray, power: FloatArray
     ) -> FloatArray:
-        """Batched ``SchedulingGame._schedule_cost``: per-game sequential sum."""
-        idx = np.searchsorted(levels, power.reshape(-1)).reshape(power.shape)
-        picked = np.take_along_axis(tables, idx[:, :, None], axis=2)[:, :, 0]
+        """Cost of each game's current schedule under its fresh table.
+
+        Schedule powers are exact members of the task's (strictly
+        increasing) levels, so ``searchsorted`` recovers each slot's level
+        index.  Each game's entries are summed left to right, the
+        rounding of the historical per-slot accumulation loop.
+        """
+        idx = np.searchsorted(levels, power)
+        rows = np.arange(power.shape[0])[:, None]
+        picked = tables[rows, self._slot_index, idx]
         costs = np.empty(power.shape[0])
-        for i in range(power.shape[0]):
+        for i, values in enumerate(picked.tolist()):
             total = 0.0
-            for value in picked[i].tolist():
+            for value in values:
                 total += value
             costs[i] = total
         return costs
 
-    def _best_response(
+    def best_response(
         self,
-        state: _LockstepState,
+        state: LockstepState,
         rows: NDArray[np.int_],
         others: FloatArray,
         *,
         multiplicity: int,
         hysteresis_scale: float,
-    ) -> None:
-        """One batched inner-loop pass; updates ``state`` rows in place."""
+    ) -> FloatArray:
+        """One inner-loop pass of Algorithm 1 for one archetype in the
+        games ``rows``; updates ``state`` rows in place and returns their
+        new trading.
+
+        Alternates DP appliance scheduling (battery fixed) and CE battery
+        optimization (appliances fixed) ``config.inner_iterations`` times.
+        ``others`` (one row per game) must exclude all ``multiplicity``
+        instances of the archetype; the herd move of identical instances
+        is priced inside the marginal tables.  ``hysteresis_scale``
+        anneals the acceptance threshold: the outer loop raises it round
+        by round, so best-response cycling between near-equal strategies
+        dies out and the dynamics terminate at an epsilon-equilibrium
+        (the scheduling game has no exact potential, so plain best
+        response may cycle forever).
+        """
         threshold_rate = self.config.hysteresis * hysteresis_scale
         customer = state.customer
         buy = self.buy_rates[rows]
@@ -345,79 +391,91 @@ class LockstepGameSolver:
             export_cap_kwh=self.export_cap_kwh,
             multiplicity=multiplicity,
         )
+        # Trading is recomputed from the strategy only after a game
+        # accepts a move: a recomputation from the same strategy gives
+        # the same bits.
+        trading = state.tradings(rows)
         for _ in range(self.config.inner_iterations):
-            trading = state.tradings(rows)
+            # The acceptance threshold is a fraction of the customer's
+            # whole daily bill: relative-to-move thresholds fail when a
+            # move's own marginal cost is near zero (flat cost valleys
+            # created by battery arbitrage), which is exactly where
+            # best-response cycling lives.
             per_slot = cost_terms(trading, others, **pricing)
             reference = np.abs(per_slot.sum(axis=1)) + 1e-9
             threshold = threshold_rate * reference
+            # Line 4: appliance schedules via DP, one task at a time.
             for index, task in enumerate(customer.tasks):
+                # Deterministic per-(customer, task) jitter breaks cost
+                # ties: a zero-price attack makes whole windows exactly
+                # free, and without it every customer's DP would herd
+                # into the same slot of the window.
                 jitter, levels = self._task_tables(customer, index)
-                trading = state.tradings(rows)
-                base_trading = (
-                    trading - state.power[rows, index, :] * self.slot_hours
-                )
+                power = state.power[rows, index, :]
+                base_trading = trading - power * self.slot_hours
                 tables = marginal_cost_terms(
                     base_trading, others, levels * self.slot_hours, **pricing
                 )
-                tables = tables + jitter[None, :, :]
+                tables += jitter
                 tables[:, :, 0] = 0.0  # idling stays exactly free
                 schedules, optimal_costs = schedule_appliance_tables(
                     task, tables, slot_hours=self.slot_hours, backend=self.backend
                 )
-                current_costs = self._schedule_costs(
-                    tables, levels, state.power[rows, index, :]
-                )
-                improvements = current_costs - optimal_costs
-                for i, g in enumerate(rows):
-                    if improvements[i] > threshold[i]:
-                        state.power[g, index, :] = schedules[i].load
+                improvements = self._schedule_costs(tables, levels, power) - optimal_costs
+                accepted = np.flatnonzero(improvements > threshold)
+                for i in accepted:
+                    state.power[rows[i], index, :] = schedules[i].load
+                if accepted.size:
+                    trading = state.tradings(rows)
+            # Line 5: battery trajectory via cross-entropy optimization.
             if customer.battery.capacity_kwh > 0:
-                load = state.loads(rows)
-                x0 = state.battery[rows]
                 best_x, best_f = self._ce_battery(
-                    customer, load, others, buy, sell, x0, multiplicity
+                    customer,
+                    state.loads(rows),
+                    others,
+                    buy,
+                    sell,
+                    state.battery[rows],
+                    multiplicity,
                 )
-                current_trading = state.tradings(rows)
-                current_costs = cost_terms(
-                    current_trading, others, **pricing
-                ).sum(axis=1)
-                improvements = current_costs - best_f
-                for i, g in enumerate(rows):
-                    if improvements[i] > threshold[i]:
-                        state.battery[g] = best_x[i]
+                current_costs = cost_terms(trading, others, **pricing).sum(axis=1)
+                # Accept only clear improvements: chasing CE sampling
+                # noise keeps the outer loop from converging.
+                accepted = np.flatnonzero(current_costs - best_f > threshold)
+                if accepted.size:
+                    state.battery[rows[accepted]] = best_x[accepted]
+                    trading = state.tradings(rows)
+        return trading
 
     # ------------------------------------------------------------------
     # Outer loop
     # ------------------------------------------------------------------
-    def solve(self, *, seed: int = 0) -> list[GameResult]:
-        """Run Algorithm 1 for every game of the batch."""
+    def solve(self, *, rng: np.random.Generator) -> list[GameResult]:
+        """Run Algorithm 1 for every game of the batch from the greedy
+        :meth:`initial_state` of every customer.
+
+        Each round's customer order is one permutation drawn from
+        ``rng`` while any game is still active, so a one-game solve
+        draws exactly one per round.
+        """
         n_games = self.n_games
-        states = self._initial_states()
+        states = [self.initial_state(c) for c in self.community.customers]
         counts = self.community.counts
-        tradings = [
-            s.tradings(np.arange(n_games)) for s in states
-        ]
+        all_rows = np.arange(n_games)
+        tradings = [s.tradings(all_rows) for s in states]
         total = np.zeros((n_games, self.community.horizon))
         for y, count in zip(tradings, counts):
             total += count * y
 
-        rngs = [np.random.default_rng(seed) for _ in range(n_games)]  # repro: noqa[SEED003] lockstep contract: identical per-game streams by design
         residuals: list[list[float]] = [[] for _ in range(n_games)]
         rounds = np.zeros(n_games, dtype=int)
         converged = np.zeros(n_games, dtype=bool)
-        active = np.arange(n_games)
+        active = all_rows
 
         for round_no in range(1, self.config.max_rounds + 1):
             if not active.size:
                 break
-            orders = [rngs[g].permutation(len(states)) for g in active]
-            order = orders[0]
-            for other in orders[1:]:
-                if not np.array_equal(order, other):
-                    raise AssertionError(
-                        "lockstep games disagree on round order; "
-                        "all games must share one solver seed"
-                    )
+            order = rng.permutation(len(states))
             max_delta = np.zeros(active.size)
             with TRACER.span(
                 "game.round", round=round_no, games=int(active.size)
@@ -431,14 +489,13 @@ class LockstepGameSolver:
                         customer=int(index),
                         multiplicity=int(count),
                     ):
-                        self._best_response(
+                        new_trading = self.best_response(
                             state,
                             active,
                             others,
                             multiplicity=count,
                             hysteresis_scale=float(round_no),
                         )
-                    new_trading = state.tradings(active)
                     delta = np.max(np.abs(new_trading - old_trading), axis=1)
                     max_delta = np.maximum(max_delta, delta)
                     total[active] = total[active] + count * (
@@ -499,4 +556,4 @@ def solve_games(
         backend=backend,
         tariff=tariff,
     )
-    return solver.solve(seed=seed)
+    return solver.solve(rng=np.random.default_rng(seed))

@@ -7,9 +7,12 @@ energy is discretized on the task's greatest-common-divisor unit so the
 recursion is exact.
 
 The cost table is what couples the scheduler to the quadratic net-metering
-pricing: the game layer (:mod:`repro.scheduling.game`) computes, for every
+pricing: the game solver (:mod:`repro.scheduling.batch`) computes, for every
 slot and level, the *marginal* community cost of running the appliance at
-that level on top of the rest of the customer's trading position.
+that level on top of the rest of the customer's trading position.  Tables
+come in a ``(games, H, levels)`` stack, one per game of a lockstep batch,
+and the kernel backend's ``dp_backward_batch`` runs the recursion for the
+whole stack; a single table is the one-game case.
 """
 
 from __future__ import annotations
@@ -27,8 +30,6 @@ from repro.scheduling.appliance import ApplianceSchedule, ApplianceTask, Infeasi
 
 CostFunction = Callable[[int, float], float]
 """Incremental cost of running at power ``x`` (kW) in slot ``h``."""
-
-_INF = np.inf
 
 
 @dataclass(frozen=True)
@@ -90,6 +91,46 @@ def _backtrack(
     return power
 
 
+def _schedule_tables(
+    task: ApplianceTask,
+    cost_tables: NDArray[np.float64],
+    slot_hours: float,
+    backend: KernelBackend | str | None,
+) -> tuple[list[ApplianceSchedule], NDArray[np.float64], int]:
+    """Schedules and optimal costs for a ``(G, H, L)`` stack of tables,
+    plus the DP's number of energy states."""
+    n_games, horizon, _ = cost_tables.shape
+    task.check_feasible(horizon, slot_hours=slot_hours)
+    kernel = get_backend(backend)
+
+    level_units, required_units, mask = _task_units(
+        task, horizon, slot_hours=slot_hours
+    )
+    # values[g, r] = minimal cost to consume exactly r units from slot 0 on;
+    # choices[g, h, r] = level index chosen at slot h when r units remain.
+    n_states = required_units + 1
+    values, choices = kernel.dp_backward_batch(
+        cost_tables, level_units, n_states, mask
+    )
+    if not np.all(np.isfinite(values[:, required_units])):
+        raise InfeasibleTaskError(
+            f"{task.name}: no feasible schedule for {task.energy_kwh} kWh "
+            f"in window [{task.earliest_start}, {task.deadline}]"
+        )
+
+    schedules = [
+        ApplianceSchedule(
+            task=task,
+            power=tuple(
+                _backtrack(task, choices[g], level_units, required_units, mask)
+            ),
+        )
+        for g in range(n_games)
+    ]
+    PERF.add("dp.cells", n_states * horizon * n_games)
+    return schedules, values[:, required_units].copy(), n_states
+
+
 @TRACER.traced("dp.solve", category="scheduling")
 def schedule_appliance_table(
     task: ApplianceTask,
@@ -99,6 +140,8 @@ def schedule_appliance_table(
     backend: KernelBackend | str | None = None,
 ) -> tuple[ApplianceSchedule, DpDiagnostics]:
     """Optimal schedule from a dense cost table.
+
+    The one-table case of :func:`schedule_appliance_tables`.
 
     Parameters
     ----------
@@ -131,31 +174,13 @@ def schedule_appliance_table(
             f"cost_table has {n_levels} level columns but task has "
             f"{len(task.power_levels)} power levels"
         )
-    task.check_feasible(horizon, slot_hours=slot_hours)
-    kernel = get_backend(backend)
-
-    level_units, required_units, mask = _task_units(
-        task, horizon, slot_hours=slot_hours
+    [schedule], optimal_costs, n_states = _schedule_tables(
+        task, cost_table[None, :, :], slot_hours, backend
     )
-    # value[r] = minimal cost to consume exactly r units in slots [h, horizon);
-    # choice[h, r] = level index chosen at slot h when r units remain.
-    n_states = required_units + 1
-    value, choice = kernel.dp_backward(cost_table, level_units, n_states, mask)
-
-    if not np.isfinite(value[required_units]):
-        raise InfeasibleTaskError(
-            f"{task.name}: no feasible schedule for {task.energy_kwh} kWh "
-            f"in window [{task.earliest_start}, {task.deadline}]"
-        )
-
-    power = _backtrack(task, choice, level_units, required_units, mask)
-
-    PERF.add("dp.cells", n_states * horizon)
-    schedule = ApplianceSchedule(task=task, power=tuple(power))
     diagnostics = DpDiagnostics(
         n_states=n_states,
         n_slots=horizon,
-        optimal_cost=float(value[required_units]),
+        optimal_cost=float(optimal_costs[0]),
     )
     return schedule, diagnostics
 
@@ -171,9 +196,9 @@ def schedule_appliance_tables(
     """Optimal schedules for one task under a batch of cost tables.
 
     ``cost_tables`` has shape ``(G, H, L)`` — one dense table per game of
-    a lockstep batch.  Entry ``g`` of the result is bitwise-identical to
-    ``schedule_appliance_table(task, cost_tables[g])``; the backward
-    recursion runs once over the whole batch through the kernel backend.
+    a lockstep batch.  The backward recursion runs once over the whole
+    batch through the kernel backend, and entry ``g`` of the result is
+    what ``schedule_appliance_table(task, cost_tables[g])`` returns.
 
     Returns ``(schedules, optimal_costs)`` with ``optimal_costs`` of
     shape ``(G,)``.
@@ -183,30 +208,8 @@ def schedule_appliance_tables(
             f"cost_tables must have shape (G, H, {len(task.power_levels)}), "
             f"got {cost_tables.shape}"
         )
-    n_games, horizon, _ = cost_tables.shape
-    task.check_feasible(horizon, slot_hours=slot_hours)
-    kernel = get_backend(backend)
-
-    level_units, required_units, mask = _task_units(
-        task, horizon, slot_hours=slot_hours
-    )
-    n_states = required_units + 1
-    values, choices = kernel.dp_backward_batch(
-        cost_tables, level_units, n_states, mask
-    )
-    if not np.all(np.isfinite(values[:, required_units])):
-        raise InfeasibleTaskError(
-            f"{task.name}: no feasible schedule for {task.energy_kwh} kWh "
-            f"in window [{task.earliest_start}, {task.deadline}]"
-        )
-
-    schedules = []
-    for g in range(n_games):
-        power = _backtrack(task, choices[g], level_units, required_units, mask)
-        schedules.append(ApplianceSchedule(task=task, power=tuple(power)))
-    PERF.add("dp.cells", n_states * horizon * n_games)
-    optimal_costs = np.array(
-        [float(values[g, required_units]) for g in range(n_games)]
+    schedules, optimal_costs, _ = _schedule_tables(
+        task, cost_tables, slot_hours, backend
     )
     return schedules, optimal_costs
 

@@ -31,7 +31,7 @@ from repro.detection.single_event import (
     SingleEventDetector,
 )
 from repro.prediction.price import AwarePricePredictor, UnawarePricePredictor
-from repro.stream.events import DayBoundary, MeterReading, PriceUpdate
+from repro.stream.events import PRICE_BOUND, DayBoundary, MeterReading, PriceUpdate
 
 
 class IncrementalSingleEvent:
@@ -79,9 +79,9 @@ class IncrementalSingleEvent:
     def check_day(self, event: PriceUpdate | DayBoundary) -> None:
         """Raise the ``ValueError`` binding ``event`` would, binding
         nothing: a day outside the stream's days (the prebuilt range, or
-        ``n_days``), or prices of the wrong horizon or not finite (the
-        day's games cannot be solved).  A day boundary is checked for its
-        day alone."""
+        ``n_days``), or prices of the wrong horizon, not finite or past
+        :data:`~repro.stream.events.PRICE_BOUND` (the day's games cannot
+        be solved).  A day boundary is checked for its day alone."""
         if self.n_days is not None and not 0 <= event.day < self.n_days:
             days = "prebuilt range" if self.prebuilt is not None else "configured days"
             raise ValueError(f"day {event.day} outside {days} [0, {self.n_days})")
@@ -93,11 +93,14 @@ class IncrementalSingleEvent:
                 f"predicted_prices must have shape ({horizon},), "
                 f"got {event.predicted_prices.shape}"
             )
+        # NaN fails the comparison too.
         if not (
-            np.isfinite(event.clean_prices).all()
-            and np.isfinite(event.predicted_prices).all()
+            (np.abs(event.clean_prices) <= PRICE_BOUND).all()
+            and (np.abs(event.predicted_prices) <= PRICE_BOUND).all()
         ):
-            raise ValueError("price_update prices must be finite")
+            raise ValueError(
+                f"price_update prices must be finite and at most {PRICE_BOUND:g} in magnitude"
+            )
 
     def start_day(self, update: PriceUpdate) -> None:
         """Bind to a new day's predicted prices."""

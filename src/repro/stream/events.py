@@ -33,6 +33,18 @@ from typing import Any, Union
 import numpy as np
 from numpy.typing import NDArray
 
+PRICE_BOUND = 1e6
+"""The largest guideline price (Eqn. 2's per-slot rate) an event may carry.
+
+A price update or reading past it is refused before any game is solved.
+It is far above every price the pipeline makes: the price model's
+histories peak near 0.07 on every preset, and the only attacks that
+raise a price multiply it by their ``inflation`` or ``factor`` (2 and
+0.5 by default).  It is far below overflow: Eqn. (2)'s per-slot product
+``rate * total * trading`` stays under 1e20 for community positions up
+to 1e7 kWh, against a float limit of 1.8e308.
+"""
+
 
 @dataclass(frozen=True)
 class PriceUpdate:
@@ -137,10 +149,12 @@ class MeterReading:
         """Why this reading is unusable, or ``None`` when well-formed.
 
         Catches the field corruption a wire can introduce — non-finite
-        or negative prices, horizon mismatch, more meters than the
-        monitor scores — without raising, so the gap-tolerant pipeline
-        can degrade instead of crash.  Structural errors (shape,
-        negative slot) are still rejected eagerly by ``__post_init__``.
+        or negative prices, prices above :data:`PRICE_BOUND` (in
+        ``received`` or ``actual``), horizon mismatch, more meters than
+        the monitor scores — without raising, so the gap-tolerant
+        pipeline can degrade instead of crash.  Structural errors
+        (shape, negative slot) are still rejected eagerly by
+        ``__post_init__``.
         """
         if horizon is not None and self.received.shape[1] != horizon:
             return (
@@ -149,10 +163,15 @@ class MeterReading:
             )
         if max_meters is not None and self.n_meters > max_meters:
             return f"{self.n_meters} meters reported, {max_meters} monitored"
-        if not bool(np.isfinite(self.received).all()):
-            return "received contains non-finite prices"
-        if bool((self.received < 0.0).any()):
-            return "received contains negative prices"
+        for name, prices in (("received", self.received), ("actual", self.actual)):
+            if prices is None:
+                continue
+            if not bool(np.isfinite(prices).all()):
+                return f"{name} contains non-finite prices"
+            if bool((prices < 0.0).any()):
+                return f"{name} contains negative prices"
+            if bool((prices > PRICE_BOUND).any()):
+                return f"{name} contains prices above {PRICE_BOUND:g}"
         return None
 
 

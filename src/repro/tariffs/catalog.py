@@ -263,7 +263,7 @@ def cost_model_for(
 
     ``None`` -- the absence of a tariff -- is the paper's flat net
     metering at the pricing config's ``W``, i.e. ``FlatNetMetering()``.
-    Both game solvers choose their cost models here.
+    The game solver chooses its cost models here.
     """
     chosen = FlatNetMetering() if tariff is None else tariff
     return chosen.cost_model(prices, sellback_divisor=sellback_divisor)

@@ -36,7 +36,6 @@ FAST = GameConfig(
 
 SOLVERS = {
     "default": SolverConfig(),
-    "sequential": SolverConfig(batch_games=False),
 }
 
 PREDICTED = np.linspace(0.02, 0.04, HORIZON)

@@ -1,11 +1,12 @@
-"""Lockstep batched game solving vs the sequential per-game loop.
+"""Lockstep batched game solving vs each game solved alone.
 
 ``solve_games`` advances many independent games (same community and
 seed, different price vectors) in lockstep so the CE population, DP
 tables and cost kernels run once per batch instead of once per game.
 The contract is bitwise: entry ``g`` must equal the result of solving
 game ``g`` alone through :class:`SchedulingGame`.  These tests pin that
-contract for every named tariff and both kernel backends.
+contract for every named tariff and both kernel backends, and pin the
+bits of a game solved alone.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ def _prices(n: int) -> list[np.ndarray]:
     return [rng.uniform(0.01, 0.06, HORIZON) for _ in range(n)]
 
 
-def _sequential(
+def _solved_alone(
     community: Community,
     price_vectors,
     *,
@@ -93,20 +94,21 @@ class TestColdBatch:
     @pytest.mark.parametrize("tariff_name", sorted(NAMED_TARIFFS))
     @pytest.mark.parametrize("backend", available_backends())
     def test_batch_matches_sequential_loop(self, community, backend, tariff_name):
-        """The lockstep contract holds under every named tariff."""
+        """Each game of a batch equals the same game solved alone, under
+        every named tariff."""
         tariff = NAMED_TARIFFS[tariff_name]
         prices = _prices(4)
         batched = solve_games(
             community, prices, config=FAST, seed=0, backend=backend, tariff=tariff
         )
-        sequential = _sequential(community, prices, backend=backend, tariff=tariff)
-        for b, s in zip(batched, sequential):
+        alone = _solved_alone(community, prices, backend=backend, tariff=tariff)
+        for b, s in zip(batched, alone):
             assert_results_equal(b, s)
 
     def test_single_game_batch_matches_direct_solve(self, community):
         prices = _prices(1)
         [batched] = solve_games(community, prices, config=FAST, seed=5)
-        [single] = _sequential(community, prices, seed=5)
+        [single] = _solved_alone(community, prices, seed=5)
         assert_results_equal(batched, single)
 
     def test_backend_invariant(self, community):
@@ -137,14 +139,30 @@ def _sha256(*arrays) -> str:
     return digest.hexdigest()
 
 
+def _game_arrays(result: GameResult) -> list:
+    arrays = [[result.rounds, result.converged], result.residuals]
+    for state in result.states:
+        arrays.append(state.battery_decision)
+        arrays += [schedule.power for schedule in state.schedules]
+    return arrays
+
+
 def _games_digest(results: list[GameResult]) -> str:
-    arrays = []
-    for result in results:
-        arrays += [[result.rounds, result.converged], result.residuals]
-        for state in result.states:
-            arrays.append(state.battery_decision)
-            arrays += [schedule.power for schedule in state.schedules]
-    return _sha256(*arrays)
+    return _sha256(*(array for result in results for array in _game_arrays(result)))
+
+
+def _solve_alone_digest(community: Community, tariff, backend: str) -> str:
+    """One game solved alone, and the draw its generator makes next."""
+    rng = np.random.default_rng(2)
+    result = SchedulingGame(
+        community,
+        _prices(1)[0],
+        sellback_divisor=1.5,
+        config=FAST,
+        tariff=tariff,
+        backend=backend,
+    ).solve(rng=rng)
+    return _sha256(*_game_arrays(result), [rng.random()])
 
 
 def _optimize_digest(tariff, backend: str) -> str:
@@ -209,6 +227,20 @@ TARIFF_DIGESTS: dict[str, tuple[str, str]] = {
 }
 
 
+# SHA-256 of one game solved alone through ``SchedulingGame.solve`` per
+# named tariff: rounds, residuals, schedules and battery decisions, then
+# the generator's next draw, which pins one round-order permutation per
+# round.  Both backends share a row.
+SOLVE_ALONE_DIGESTS: dict[str, str] = {
+    "flat": "805f07e796ee1a8b30fb8f034a72ba95a7c9c6e0bb9fd9869fe4186e39d50597",
+    "flat_paper_literal": "50594216f7afbe84c7f585f7096a6ac4b41f7a050e55c9da7ae3aac773209490",
+    "monthly_netting": "805f07e796ee1a8b30fb8f034a72ba95a7c9c6e0bb9fd9869fe4186e39d50597",
+    "nem3_spread": "805f07e796ee1a8b30fb8f034a72ba95a7c9c6e0bb9fd9869fe4186e39d50597",
+    "spread_capped": "805f07e796ee1a8b30fb8f034a72ba95a7c9c6e0bb9fd9869fe4186e39d50597",
+    "tou": "5fa9b58eac0962a41096bc991c85d01b8828ec970d4ce188727be1191aa5d2d8",
+}
+
+
 class TestTariffDigests:
     """Bit pins for the tariffs no golden file covers.
 
@@ -236,3 +268,9 @@ class TestTariffDigests:
             _games_digest(games),
             _optimize_digest(tariff, backend),
         ) == TARIFF_DIGESTS[tariff_name]
+
+    @pytest.mark.parametrize("tariff_name", sorted(NAMED_TARIFFS))
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_solve_alone_digests(self, community, backend, tariff_name):
+        digest = _solve_alone_digest(community, NAMED_TARIFFS[tariff_name], backend)
+        assert digest == SOLVE_ALONE_DIGESTS[tariff_name]

@@ -1,6 +1,7 @@
 """Tests for the configuration dataclasses."""
 
 import dataclasses
+import re
 
 import pytest
 
@@ -168,31 +169,69 @@ CONFIG_CLASSES = [
 ]
 
 
-@pytest.mark.parametrize(
-    "value, refusal",
-    [
-        pytest.param(float("nan"), "must be finite, got nan", id="nan"),
-        pytest.param(float("inf"), "must be finite, got inf", id="inf"),
-        pytest.param(float("-inf"), "must be finite, got -inf", id="-inf"),
-        pytest.param("0.1", "must be a real number, got '0.1'", id="str"),
-        pytest.param(None, "must be a real number, got None", id="None"),
-        pytest.param(
-            10**400, "must be finite, got a number too large for a float", id="10**400"
-        ),
+# (value, refusal, id) per field type.  Float fields refuse NaN, the
+# infinities, strings, ``None`` and integers too large for a float; int
+# fields refuse everything that is not an integer.
+FIELD_REFUSALS = {
+    "float": [
+        (float("nan"), "must be finite, got nan", "nan"),
+        (float("inf"), "must be finite, got inf", "inf"),
+        (float("-inf"), "must be finite, got -inf", "-inf"),
+        ("0.1", "must be a real number, got '0.1'", "str"),
+        (None, "must be a real number, got None", "None"),
+        (10**400, "must be finite, got a number too large for a float", "10**400"),
     ],
-)
+    "int": [
+        (float("nan"), "must be an integer, got nan", "nan"),
+        (float("inf"), "must be an integer, got inf", "inf"),
+        (2.5, "must be an integer, got 2.5", "2.5"),
+        (True, "must be an integer, got True", "True"),
+        ("3", "must be an integer, got '3'", "str"),
+        (None, "must be an integer, got None", "None"),
+    ],
+    "tuple[int, int]": [
+        ((4, 8.5), "must be a pair of integers, got (4, 8.5)", "float-pair"),
+        ((4,), "must be a pair of integers, got (4,)", "one-int"),
+        ("48", "must be a pair of integers, got '48'", "str"),
+        (None, "must be a pair of integers, got None", "None"),
+    ],
+}
+
+
 @pytest.mark.parametrize(
-    "cls, name",
+    "cls, name, value, refusal",
     [
-        pytest.param(cls, spec.name, id=f"{cls.__name__}.{spec.name}")
+        pytest.param(cls, spec.name, value, refusal, id=f"{cls.__name__}.{spec.name}-{case}")
         for cls in CONFIG_CLASSES
         for spec in dataclasses.fields(cls)
-        if isinstance(spec.default, float)
+        for value, refusal, case in FIELD_REFUSALS.get(spec.type, ())
     ],
 )
 def test_non_finite_fields_rejected(cls, name, value, refusal):
     """NaN passes the ordered range checks, and a checkpoint's JSON can
-    carry a string, ``null`` or an integer too large for a float, so
-    every float field is checked first."""
-    with pytest.raises(ConfigError, match=f"{name} {refusal}"):
+    carry a string, ``null``, a fraction or an integer too large for a
+    float, so every float and integer field is checked first."""
+    with pytest.raises(ConfigError, match=re.escape(f"{name} {refusal}")):
         cls(**{name: value})
+
+
+@pytest.mark.parametrize(
+    "key, value, refusal",
+    [
+        pytest.param("game", 5, "GameConfig section must be an object", id="game-int"),
+        pytest.param("game", None, "GameConfig section must be an object", id="game-null"),
+        pytest.param("n_customers", None, "n_customers must be an integer", id="n_customers-null"),
+        pytest.param("n_customers", "12", "n_customers must be an integer", id="n_customers-str"),
+        pytest.param("seed", 7.5, "seed must be an integer", id="seed-float"),
+        pytest.param(
+            "appliances_per_customer", 4, "must be a pair of integers", id="appliances-int"
+        ),
+    ],
+)
+def test_config_from_dict_refuses_malformed_values(key, value, refusal):
+    """A checkpoint's config is refused with ``ConfigError``, never
+    coerced or failed with a bare ``TypeError``."""
+    payload = config_to_dict(CommunityConfig())
+    payload[key] = value
+    with pytest.raises(ConfigError, match=refusal):
+        config_from_dict(payload)

@@ -163,6 +163,65 @@ class TestRejectedRequestChangesNothing:
         assert result["results"][1]["detection"]["slot"] == 0
 
 
+ABSURD = [1e300] * 24
+
+
+class TestAbsurdPricesAreRefused:
+    """Finite prices past ``PRICE_BOUND`` are refused before the day is
+    bound; solved, Eqn. (2) overflows at these.  Numpy's overflow
+    warnings are raised as errors, so a game solved at such a price
+    fails the test."""
+
+    pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+    def test_price_update_is_refused_over_http(self, fleet_config, cache):
+        engine = build_synthetic_engine(fleet_config, n_days=2, cache=cache)
+        service = DetectionService(engine)
+        service.advance(max_events=5)  # day 0 bound, four slots settled
+        before = _state(engine)
+        records = engine.pipeline.audit.total_records
+        update = {"type": "price_update", "day": 1, "clean_prices": ABSURD,
+                  "predicted_prices": ABSURD}
+        status, error = _post(create_server(service, port=0), "/events", update)
+        assert status == 400 and error["code"] == "bad_request"
+        assert "prices must be finite and at most 1e+06" in error["error"]
+        assert _state(engine) == before
+        assert engine.pipeline.audit.total_records == records
+        assert len(engine.timeline) == 4
+
+    def test_envelope_with_absurd_prices_binds_nobody(self, fleet_config, cache):
+        generator = LoadGenerator(fleet_config, n_communities=2, n_days=2, seed=5)
+        fleet = build_fleet(generator.specs(), n_shards=2, cache=cache)
+        update = next(iter(generator.envelopes()))["entries"][0]
+        absurd = {"community": "c0001", "event": {
+            **update["event"], "clean_prices": ABSURD, "predicted_prices": ABSURD}}
+        before = {cid: _state(fleet.engine_of(cid)) for cid in fleet.community_ids}
+        server = create_fleet_server(FleetAggregator(fleet), port=0)
+        status, error = _post(server, "/envelope", {"entries": [update, absurd]})
+        assert status == 400 and error["code"] == "bad_request"
+        assert "entry 1: price_update prices must be finite" in error["error"]
+        assert {cid: _state(fleet.engine_of(cid)) for cid in fleet.community_ids} == before
+
+    @pytest.mark.parametrize(
+        "field, price",
+        [("received", 1e300), ("actual", 1e300), ("actual", float("nan"))],
+    )
+    def test_reading_with_absurd_prices_is_a_corrupt_gap(
+        self, fleet_config, cache, field, price
+    ):
+        # ``actual`` carries the prices the homes responded to; unchecked,
+        # a NaN there failed the reading midway, after the state changed.
+        source = build_synthetic_engine(fleet_config, n_days=2, cache=cache).source
+        update, reading = (event_to_dict(source.next_event()) for _ in range(2))
+        service = DetectionService(build_synthetic_engine(fleet_config, n_days=2, cache=cache))
+        service.push_event(update)
+        rows = [[price] * 24] * len(reading["received"])
+        event = {"type": "meter_reading", "slot": 0, "received": reading["received"],
+                 "truth": [True] * len(rows), field: rows}
+        detection = service.push_event(event)["detection"]
+        assert detection["gap"] and detection["gap_reason"] == "corrupt"
+
+
 # ----------------------------------------------------------------------
 # Raw-socket taxonomy checks, against both servers.
 @pytest.fixture(scope="module", params=["service", "fleet"])

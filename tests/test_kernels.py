@@ -224,17 +224,21 @@ class TestApplianceDp:
         )
 
     def test_dp_backward_matches_reference(self, backend, simple_task):
-        table = self._table(simple_task, 1, seed=21)[0]
+        """One game's table through the batch kernel, against the
+        reference recursion."""
+        tables = self._table(simple_task, 1, seed=21)
         level_units, required_units, mask = _task_units(
             simple_task, HORIZON, slot_hours=1.0
         )
         n_states = required_units + 1
-        value, choice = backend.dp_backward(table, level_units, n_states, mask)
-        ref_value, ref_choice = REFERENCE.dp_backward(
-            table, level_units, n_states, mask
+        values, choices = backend.dp_backward_batch(
+            tables, level_units, n_states, mask
         )
-        np.testing.assert_array_equal(value, ref_value)
-        np.testing.assert_array_equal(choice, ref_choice)
+        ref_values, ref_choices = REFERENCE.dp_backward_batch(
+            tables, level_units, n_states, mask
+        )
+        np.testing.assert_array_equal(values, ref_values)
+        np.testing.assert_array_equal(choices, ref_choices)
 
     def test_dp_backward_batch_rows_match_single(self, backend, simple_task):
         tables = self._table(simple_task, 4, seed=22)
@@ -246,8 +250,8 @@ class TestApplianceDp:
             tables, level_units, n_states, mask
         )
         for g in range(tables.shape[0]):
-            value, choice = backend.dp_backward(
-                tables[g], level_units, n_states, mask
+            [value], [choice] = backend.dp_backward_batch(
+                tables[g : g + 1], level_units, n_states, mask
             )
             np.testing.assert_array_equal(values[g], value)
             np.testing.assert_array_equal(choices[g], choice)

@@ -202,6 +202,26 @@ class TestCheckpointFormat:
                 "SolverConfig has no field 'warm_start'",
                 id="solver-retired-key",
             ),
+            pytest.param(
+                "game",
+                "max_rounds",
+                float("inf"),
+                "max_rounds must be an integer, got inf",
+                id="game-int-infinity",
+            ),
+            # ``name=None`` replaces the whole section.
+            pytest.param(
+                "game", None, 5, "GameConfig section must be an object", id="game-not-object"
+            ),
+            # The lockstep-batching switch, retired when every solve
+            # became a lockstep batch.
+            pytest.param(
+                "solver",
+                "batch_games",
+                True,
+                "SolverConfig has no field 'batch_games'",
+                id="solver-retired-batch-key",
+            ),
         ],
     )
     def test_resume_rejects_non_finite_pricing(
@@ -216,7 +236,11 @@ class TestCheckpointFormat:
         engine = build_synthetic_engine(tiny_config, n_days=1, cache=cache)
         path = save_checkpoint(engine, tmp_path / "ck.json")
         payload = json.loads(path.read_text())
-        payload["build"]["config"][section][name] = value
+        config = payload["build"]["config"]
+        if name is None:
+            config[section] = value
+        else:
+            config[section][name] = value
         path.write_text(json.dumps(payload))
 
         def no_build(*args, **kwargs):

@@ -28,7 +28,7 @@ from repro.detection import single_event
 from repro.detection.single_event import CommunityResponseSimulator
 from repro.simulation.cache import GameSolutionCache
 
-SOLVER = SolverConfig(backend="reference", batch_games=False)
+SOLVER = SolverConfig(backend="reference")
 
 
 @pytest.fixture(scope="module")
