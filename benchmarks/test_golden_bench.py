@@ -1,9 +1,12 @@
 """Golden-master regression for the bench preset (paper-scale fixture).
 
-The bench fixture takes minutes to recompute, so it lives in the
-benchmark tier rather than tier-1; ``tests/test_golden_master.py``
-covers the fast smoke preset.  Regenerate after intentional changes with
-``python scripts/refresh_golden.py --preset bench``.
+Recomputing the bench fixture takes 20-35 s on one core (fused and
+reference kernels), too slow for tier-1, so it lives in the benchmark
+tier;
+``tests/test_golden_master.py`` covers the fast smoke preset.  CI's
+bench-smoke job runs it under both kernel backends.  Regenerate after
+intentional changes with ``python scripts/refresh_golden.py --preset
+bench``.
 """
 
 from pathlib import Path

@@ -26,38 +26,35 @@ def _is_integer(value: Any) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def _require_typed(config: Any) -> None:
+def require_typed(instance: Any, *, error: type[ValueError] = ConfigError) -> None:
     """Refuse anything but a finite real number in every ``float`` field
-    and anything but an integer in every ``int`` field.
+    and anything but an integer in every ``int`` field of a dataclass.
 
     NaN passes every ordered comparison in the range checks, and JSON
     checkpoints can carry NaN and Infinity literals, strings, ``null``,
     booleans, fractions and integers too large for a float.  Field types
-    are compared as strings: this module's annotations are postponed.
+    are compared as strings, so the dataclass's module must postpone its
+    annotations.  ``error`` is the exception type raised.
     """
-    for spec in fields(config):
-        value = getattr(config, spec.name)
+    for spec in fields(instance):
+        value = getattr(instance, spec.name)
         if spec.type == "int" and not _is_integer(value):
-            raise ConfigError(f"{spec.name} must be an integer, got {value!r}")
+            raise error(f"{spec.name} must be an integer, got {value!r}")
         if spec.type == "tuple[int, int]" and not (
             isinstance(value, tuple) and len(value) == 2 and all(map(_is_integer, value))
         ):
-            raise ConfigError(
-                f"{spec.name} must be a pair of integers, got {value!r}"
-            )
+            raise error(f"{spec.name} must be a pair of integers, got {value!r}")
         if spec.type == "float":
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ConfigError(
-                    f"{spec.name} must be a real number, got {value!r}"
-                )
+                raise error(f"{spec.name} must be a real number, got {value!r}")
             try:
                 finite = math.isfinite(value)
             except OverflowError:
-                raise ConfigError(
+                raise error(
                     f"{spec.name} must be finite, got a number too large for a float"
                 ) from None
             if not finite:
-                raise ConfigError(f"{spec.name} must be finite, got {value}")
+                raise error(f"{spec.name} must be finite, got {value}")
 
 
 _Section = TypeVar("_Section", bound="DataclassInstance")
@@ -94,7 +91,7 @@ class TimeGrid:
     n_days: int = 1
 
     def __post_init__(self) -> None:
-        _require_typed(self)
+        require_typed(self)
         if self.slots_per_day < 1:
             raise ConfigError(f"slots_per_day must be >= 1, got {self.slots_per_day}")
         if self.n_days < 1:
@@ -148,7 +145,7 @@ class BatteryConfig:
     max_discharge_kw: float = 1.0
 
     def __post_init__(self) -> None:
-        _require_typed(self)
+        require_typed(self)
         if self.capacity_kwh < 0:
             raise ConfigError(f"capacity_kwh must be >= 0, got {self.capacity_kwh}")
         if not 0 <= self.initial_kwh <= max(self.capacity_kwh, 0):
@@ -174,7 +171,7 @@ class SolarConfig:
     cloud_reversion: float = 0.5
 
     def __post_init__(self) -> None:
-        _require_typed(self)
+        require_typed(self)
         if self.peak_kw < 0:
             raise ConfigError(f"peak_kw must be >= 0, got {self.peak_kw}")
         if not 0 <= self.sunrise_hour < self.sunset_hour <= 24:
@@ -205,7 +202,7 @@ class PricingConfig:
     sellback_divisor: float = 1.5
 
     def __post_init__(self) -> None:
-        _require_typed(self)
+        require_typed(self)
         if self.base_price < 0:
             raise ConfigError(f"base_price must be >= 0, got {self.base_price}")
         if self.demand_slope < 0:
@@ -240,7 +237,7 @@ class GameConfig:
     ce_smoothing: float = 0.7
 
     def __post_init__(self) -> None:
-        _require_typed(self)
+        require_typed(self)
         if self.max_rounds < 1:
             raise ConfigError("max_rounds must be >= 1")
         if self.inner_iterations < 1:
@@ -279,7 +276,7 @@ class DetectionConfig:
     n_monitored_meters: int = 12
 
     def __post_init__(self) -> None:
-        _require_typed(self)
+        require_typed(self)
         if self.par_threshold < 0:
             raise ConfigError("par_threshold must be >= 0")
         if self.margin_noise_std < 0:
@@ -308,7 +305,7 @@ class SolverConfig:
     backend: str = "auto"
 
     def __post_init__(self) -> None:
-        _require_typed(self)
+        require_typed(self)
         if not self.backend:
             raise ConfigError("backend must be a non-empty name or 'auto'")
 
@@ -348,7 +345,7 @@ class RetryPolicy:
     backoff_max_s: float = 1.0
 
     def __post_init__(self) -> None:
-        _require_typed(self)
+        require_typed(self)
         if self.max_retries < 0:
             raise ConfigError(f"max_retries must be >= 0, got {self.max_retries}")
         if self.backoff_base_s < 0:
@@ -413,7 +410,7 @@ class CommunityConfig:
     seed: int = 2015
 
     def __post_init__(self) -> None:
-        _require_typed(self)
+        require_typed(self)
         if self.n_customers < 1:
             raise ConfigError("n_customers must be >= 1")
         lo, hi = self.appliances_per_customer

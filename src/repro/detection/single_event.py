@@ -46,6 +46,14 @@ if TYPE_CHECKING:
     from repro.tariffs import Tariff
 
 
+def draw_margin_noise(rng: np.random.Generator | None, std: float) -> float:
+    """One check's measurement noise: ``N(0, std)``, or 0 without an rng
+    or without noise (which then draws nothing)."""
+    if rng is not None and std > 0:
+        return float(rng.normal(0.0, std))
+    return 0.0
+
+
 class CommunityResponseSimulator:
     """Memoized community-game responses to posted guideline prices.
 
@@ -307,9 +315,7 @@ class SingleEventDetector:
         without perturbing the shared rng's draw sequence.  ``check`` is
         exactly ``evaluate(received, noise=draw_noise(rng))``.
         """
-        if rng is not None and self.margin_noise_std > 0:
-            return float(rng.normal(0.0, self.margin_noise_std))
-        return 0.0
+        return draw_margin_noise(rng, self.margin_noise_std)
 
     def evaluate(
         self,

@@ -25,9 +25,17 @@ from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Any
 
+from repro.core.config import require_typed
+
 
 class FaultPlanError(ValueError):
     """Raised when a fault plan is constructed or parsed inconsistently."""
+
+
+MAX_HOLD_TICKS = 1_000_000
+"""Upper bound on ``max_delay`` and ``max_stall``.  A hold that long
+outlasts any stream this package runs (a 20-day service stream is 520
+events), and the injector's integer draws need a range int64 holds."""
 
 
 _PROB_FIELDS = (
@@ -80,16 +88,19 @@ class FaultPlan:
     max_stall: int = 3
 
     def __post_init__(self) -> None:
+        require_typed(self, error=FaultPlanError)
         if self.seed < 0:
             raise FaultPlanError(f"seed must be >= 0, got {self.seed}")
         for name in _PROB_FIELDS:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise FaultPlanError(f"{name} must be in [0, 1], got {value}")
-        if self.max_delay < 1:
-            raise FaultPlanError(f"max_delay must be >= 1, got {self.max_delay}")
-        if self.max_stall < 1:
-            raise FaultPlanError(f"max_stall must be >= 1, got {self.max_stall}")
+        for name in ("max_delay", "max_stall"):
+            value = getattr(self, name)
+            if not 1 <= value <= MAX_HOLD_TICKS:
+                raise FaultPlanError(
+                    f"{name} must be in [1, {MAX_HOLD_TICKS}], got {value}"
+                )
 
     # ------------------------------------------------------------------
     @property
@@ -125,8 +136,14 @@ class FaultPlan:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "FaultPlan":
-        """Rebuild a plan from :meth:`to_dict` output (strict keys)."""
+    def from_dict(cls, payload: Any) -> "FaultPlan":
+        """Rebuild a plan from :meth:`to_dict` output (strict keys and
+        types: nothing is coerced, so ``true``, ``2.7`` and ``"3"`` are
+        not integers).  Anything else raises :class:`FaultPlanError`."""
+        if not isinstance(payload, dict):
+            raise FaultPlanError(
+                f"bad fault-plan payload: expected an object, got {payload!r}"
+            )
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(payload) - known)
         if unknown:
@@ -135,21 +152,9 @@ class FaultPlan:
                 f"expected a subset of {sorted(known)}"
             )
         try:
-            return cls(
-                seed=int(payload.get("seed", 0)),
-                drop_prob=float(payload.get("drop_prob", 0.0)),
-                duplicate_prob=float(payload.get("duplicate_prob", 0.0)),
-                reorder_prob=float(payload.get("reorder_prob", 0.0)),
-                delay_prob=float(payload.get("delay_prob", 0.0)),
-                max_delay=int(payload.get("max_delay", 3)),
-                corrupt_prob=float(payload.get("corrupt_prob", 0.0)),
-                stall_prob=float(payload.get("stall_prob", 0.0)),
-                max_stall=int(payload.get("max_stall", 3)),
-            )
-        except (TypeError, ValueError) as exc:
-            if isinstance(exc, FaultPlanError):
-                raise
-            raise FaultPlanError(f"bad fault-plan payload: {exc}") from exc
+            return cls(**payload)
+        except FaultPlanError as exc:
+            raise FaultPlanError(f"bad fault-plan payload: {exc}") from None
 
 
 BUILTIN_PLANS: dict[str, FaultPlan] = {

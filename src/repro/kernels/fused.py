@@ -8,8 +8,11 @@ and ufunc-dispatch overhead without changing a single output bit:
   ``min(capacity, prev + c)`` reduce to ``prev - d`` / ``prev + c``
   (clamping a value already inside ``[0, capacity]`` against the
   un-truncated bound gives the identical result), and the NaN sweep is
-  a no-op on finite input.  Each forward step is four ``out=`` ufunc
-  calls into two reused buffers.
+  a no-op on finite input.  The trajectories are held slot-major, so
+  each forward step is four ``out=`` ufunc calls on contiguous rows
+  (one row holds one slot of every trajectory), and the result goes
+  back to row-major order: the cost kernel's row sums round by memory
+  layout.
 - **Cost**: ``np.diff`` is plain subtraction, so the trading array can
   be built directly into a preallocated buffer, and the buy/sell
   branches reuse the community-total buffer.  This is the in-place twin
@@ -18,15 +21,23 @@ and ufunc-dispatch overhead without changing a single output bit:
   sign arrives already folded into the sell rates.  Operand order
   matches the reference exactly (IEEE addition/multiplication are
   commutative, but association order is preserved anyway).
-- **DP**: the per-level masked update is kept verbatim (a min/argmin
-  rewrite could flip the sign of zero on exact ties), but it runs
-  elementwise over the leading game axis — one ufunc dispatch per
-  (slot, level) for the whole batch instead of per game — into buffers
-  reused across slots, and writes choices straight into the output.
+- **DP**: all levels of a slot are relaxed at once.  A value buffer
+  padded with ``inf`` on the left turns "the value ``du`` states back,
+  ``inf`` when fewer remain" into one gather, giving every game's
+  ``(states, levels)`` candidates; the slot's costs are added, and
+  ``argmin`` over levels picks each state's level.  The reference keeps
+  a candidate only when it is strictly less than the best so far, so it
+  keeps the *first* minimum; ``argmin`` returns the first minimum too,
+  ties across levels and ``-0.0 == 0.0`` included, and an all-``inf``
+  state keeps level 0 in both.  The new value is then gathered from the
+  chosen candidate, so it is that exact element, sign of zero included
+  (a ``min`` reduction would be free to return either zero).
 
 Preconditions (guaranteed by the in-pipeline callers, asserted nowhere
 for speed): ``clamp_decisions`` requires finite rows already clipped to
-``[0, capacity]``; ``battery_costs`` requires finite inputs.
+``[0, capacity]``; ``battery_costs`` requires finite inputs;
+``dp_backward_batch`` requires tables free of NaN and ``-inf`` (the
+reference skips those levels, ``argmin`` would pick them).
 """
 
 from __future__ import annotations
@@ -58,17 +69,21 @@ class FusedBackend:
         max_discharge: float,
     ) -> FloatArray:
         d = np.asarray(decisions, dtype=float)
-        b = np.empty(d.shape[:-1] + (d.shape[-1] + 1,))
-        b[..., 0] = initial
-        b[..., 1:] = d
-        bound = np.empty(b.shape[:-1])
-        for h in range(1, b.shape[-1]):
-            prev = b[..., h - 1]
+        horizon = d.shape[-1]
+        rows = d.reshape(-1, horizon)
+        # Slot-major: b[h] holds slot h of every row, contiguous.
+        b = np.empty((horizon + 1, rows.shape[0]))
+        b[0] = initial
+        b[1:] = rows.T
+        bound = np.empty(rows.shape[0])
+        slots = list(b)
+        for prev, slot in zip(slots, slots[1:]):
             np.subtract(prev, max_discharge, out=bound)
-            np.maximum(b[..., h], bound, out=b[..., h])
+            np.maximum(slot, bound, out=slot)
             np.add(prev, max_charge, out=bound)
-            np.minimum(b[..., h], bound, out=b[..., h])
-        return b[..., 1:]
+            np.minimum(slot, bound, out=slot)
+        # Back to row-major: the cost kernel's row sums depend on it.
+        return np.ascontiguousarray(b[1:].T).reshape(d.shape)
 
     def battery_costs(
         self,
@@ -127,31 +142,32 @@ class FusedBackend:
         n_states: int,
         mask: BoolArray,
     ) -> tuple[FloatArray, Int16Array]:
-        n_games, horizon, _ = cost_tables.shape
-        # costs[h, j] is the (G, 1) column of level j's cost in slot h.
-        costs = cost_tables.transpose(1, 2, 0)[..., None]
-        value = np.full((n_games, n_states), _INF)
-        value[:, 0] = 0.0
-        best = np.empty((n_games, n_states))
-        candidate = np.empty((n_games, n_states))
-        improved = np.empty((n_games, n_states), dtype=bool)
+        n_games, horizon, n_levels = cost_tables.shape
+        # A level of du units reads the value du states back; a shift of
+        # n_states or more reaches no state at all.
+        shifts = np.minimum(np.asarray(level_units), n_states)
+        pad = int(shifts.max())
+        # padded[g, pad + r] is value[g, r], behind a pad of inf, so
+        # padded[g, pad + r - du] is the shifted value, inf when r < du.
+        padded = np.full((n_games, pad + n_states), _INF)
+        padded[:, pad] = 0.0
+        value = padded[:, pad:]
+        shifted = pad + np.arange(n_states)[:, None] - shifts[None, :]
+        candidate = np.empty((n_games, n_states, n_levels))
+        # Flat offset of each (game, state) row of ``candidate``.
+        rows = np.arange(n_games * n_states) * n_levels
         # Slots outside the mask keep choice 0.
         choices = np.zeros((n_games, horizon, n_states), dtype=np.int16)
         for h in range(horizon - 1, -1, -1):
             if not mask[h]:
                 continue
-            best.fill(_INF)
-            best_choice = choices[:, h, :]
-            for j, du in enumerate(level_units):
-                cost_j = costs[h, j]
-                if du == 0:
-                    np.add(value, cost_j, out=candidate)
-                else:
-                    candidate.fill(_INF)
-                    if du < n_states:
-                        np.add(value[:, :-du], cost_j, out=candidate[:, du:])
-                np.less(candidate, best, out=improved)
-                np.copyto(best, candidate, where=improved)
-                best_choice[improved] = j
-            value, best = best, value
-        return value, choices
+            # Every index is in range; "clip" only lets take write
+            # straight into ``out`` instead of through a buffer.
+            np.take(padded, shifted, axis=1, out=candidate, mode="clip")
+            np.add(candidate, cost_tables[:, h, None, :], out=candidate)
+            choice = candidate.argmin(axis=2)
+            choices[:, h, :] = choice
+            value[...] = candidate.take(rows + choice.ravel()).reshape(
+                n_games, n_states
+            )
+        return value.copy(), choices

@@ -11,8 +11,12 @@ where ``K~ = K + 1`` is the kernel matrix augmented with a constant
 (absorbing the bias into the kernel removes the dual equality constraint),
 and ``beta_i = alpha_i - alpha_i^*``.  The problem is solved by cyclic
 dual coordinate descent with the exact closed-form per-coordinate update
-(a soft-threshold followed by box clipping); for the few-hundred-sample
-training sets used here this converges in milliseconds.
+(a soft-threshold followed by box clipping).  It stops on a sweep count
+as well as on ``tol``, and on the price histories used here every fit
+runs the full ``max_iterations`` sweeps: a 672-sample history costs
+200 sweeps of 672 coordinate visits, about 0.3 s.  The sweep runs on
+Python floats, with numpy only for the ``K~ @ beta`` update, since a
+visit is a handful of scalar operations.
 
 Predictions are ``f(x) = sum_i beta_i * K~(x_i, x)``.  Features and
 targets are standardized internally.
@@ -136,29 +140,48 @@ class SupportVectorRegressor:
         k = _kernel_matrix(xs, xs, self.kernel, gamma, self.degree, self.coef0)
         k_tilde = k + 1.0  # absorb the bias term
         n = xs.shape[0]
-        beta = np.zeros(n)
+        diag = np.diag(k_tilde)
+        diag = np.where(diag > 1e-12, diag, 1e-12).tolist()
+        # Column i of K~ as a contiguous row, whether or not K~ came out
+        # bitwise symmetric.
+        columns = list(np.ascontiguousarray(k_tilde.T))
+        targets_s = ys.tolist()
+        beta = [0.0] * n
         k_beta = np.zeros(n)  # running K~ @ beta
-        diag = np.diag(k_tilde).copy()
-        diag = np.where(diag > 1e-12, diag, 1e-12)
+        k_beta_at = k_beta.item
+        step = np.empty(n)
+        multiply, add = np.multiply, np.add
+        epsilon, c = self.epsilon, self.c
 
         self._n_sweeps = 0
         for sweep in range(self.max_iterations):
             max_change = 0.0
-            for i in range(n):
-                gradient_rest = k_beta[i] - diag[i] * beta[i] - ys[i]
-                z = -gradient_rest
-                candidate = np.sign(z) * max(abs(z) - self.epsilon, 0.0) / diag[i]
-                new_beta = min(max(candidate, -self.c), self.c)
-                change = new_beta - beta[i]
+            for i, d, y, column in zip(range(n), diag, targets_s, columns):
+                b = beta[i]
+                z = -(k_beta_at(i) - d * b - y)
+                # The soft-threshold np.sign(z) * max(|z| - eps, 0) / d,
+                # then the box clip, with the same rounding and zero signs.
+                excess = abs(z) - epsilon
+                if excess > 0.0:
+                    candidate = (excess if z > 0.0 else -excess) / d
+                    new_beta = c if candidate > c else -c if candidate < -c else candidate
+                elif z < 0.0:
+                    new_beta = -0.0
+                elif excess <= 0.0:
+                    new_beta = 0.0
+                else:
+                    new_beta = excess  # NaN, as np.sign(nan) * nan
+                change = new_beta - b
                 if change != 0.0:  # repro: noqa[FLT001] exact: skip no-op updates
-                    k_beta += change * k_tilde[:, i]
+                    multiply(column, change, step)
+                    add(k_beta, step, k_beta)
                     beta[i] = new_beta
                     max_change = max(max_change, abs(change))
             self._n_sweeps = sweep + 1
             if max_change < self.tol:
                 break
 
-        self._beta = beta
+        self._beta = np.array(beta)
         self._x_train = xs
         self._fitted = True
         return self

@@ -46,7 +46,7 @@ from repro.optimization.cross_entropy import STD_FLOOR
 from repro.perf.counters import PERF
 from repro.scheduling.appliance import ApplianceSchedule
 from repro.scheduling.customer import Customer, CustomerState
-from repro.scheduling.dp import schedule_appliance_tables
+from repro.scheduling.dp import schedule_appliance_powers
 from repro.scheduling.game import Community, GameResult
 from repro.tariffs import Tariff, cost_model_for
 
@@ -193,14 +193,12 @@ class LockstepGameSolver:
                 * levels[None, None, :]
                 * self.slot_hours
             )
-            schedules, _ = schedule_appliance_tables(
+            state.power[:, t, :], _ = schedule_appliance_powers(
                 task,
                 tables,
                 slot_hours=self.slot_hours,
                 backend=self.backend,
             )
-            for g, schedule in enumerate(schedules):
-                state.power[g, t, :] = schedule.load
         state.battery[:] = customer.battery.initial_kwh
         return state
 
@@ -219,11 +217,11 @@ class LockstepGameSolver:
     ) -> tuple[FloatArray, FloatArray]:
         """Batched CE over battery trajectories; one game per row.
 
-        Mirrors :meth:`CrossEntropyOptimizer.minimize` exactly per row;
-        each game draws from its own freshly seeded generator (a
-        per-customer deterministic seed, which makes the CE step a
-        function of its inputs, so the best-response map has fixed
-        points the outer loop can reach).  Returns ``(best_x, best_f)``.
+        Mirrors :meth:`CrossEntropyOptimizer.minimize` exactly per row,
+        each game drawing the stream of a freshly seeded per-customer
+        generator (a deterministic seed makes the CE step a function of
+        its inputs, so the best-response map has fixed points the outer
+        loop can reach).  Returns ``(best_x, best_f)``.
         """
         spec = customer.battery
         cfg = self.config
@@ -272,12 +270,11 @@ class LockstepGameSolver:
         best_x = start.copy()
         best_f = np.where(np.isfinite(start_scores), start_scores, np.inf)
 
-        rngs = [
-            # Lockstep contract: every game replays the standalone
-            # per-customer CE stream bit-for-bit.
-            np.random.default_rng(customer.customer_id + 7919)  # repro: noqa[SEED003]
-            for _ in range(n_games)
-        ]
+        # Every game's standalone CE draws from its own
+        # default_rng(customer_id + 7919), and every live game draws one
+        # (K, H) block per iteration, so all their streams are one stream:
+        # one generator serves them all.
+        rng = np.random.default_rng(customer.customer_id + 7919)  # repro: noqa[SEED003]
         n_iterations = np.zeros(n_games, dtype=int)
         alive = alive_index = np.arange(n_games)
         span_id = TRACER.begin(
@@ -294,11 +291,11 @@ class LockstepGameSolver:
                 break
             # A slice while every game is alive: views, not gathers.
             rows = slice(None) if alive.size == n_games else alive
-            samples = np.empty((alive.size, cfg.ce_samples, horizon))
-            for i, g in enumerate(alive.tolist()):
-                samples[i] = rngs[g].normal(
-                    mean[g], std[g], size=(cfg.ce_samples, horizon)
-                )
+            # normal(mean, std) is mean + std * standard_normal(), so each
+            # game's rows are its own generator's draw, bit for bit.
+            z = rng.standard_normal((cfg.ce_samples, horizon))
+            samples = np.multiply(std[rows][:, None, :], z)
+            samples += mean[rows][:, None, :]
             np.clip(samples, lower, upper, out=samples)
             samples = project(samples)
             scores = score(samples, grouped, rows)
@@ -418,14 +415,13 @@ class LockstepGameSolver:
                 )
                 tables += jitter
                 tables[:, :, 0] = 0.0  # idling stays exactly free
-                schedules, optimal_costs = schedule_appliance_tables(
+                powers, optimal_costs = schedule_appliance_powers(
                     task, tables, slot_hours=self.slot_hours, backend=self.backend
                 )
                 improvements = self._schedule_costs(tables, levels, power) - optimal_costs
                 accepted = np.flatnonzero(improvements > threshold)
-                for i in accepted:
-                    state.power[rows[i], index, :] = schedules[i].load
                 if accepted.size:
+                    state.power[rows[accepted], index, :] = powers[accepted]
                     trading = state.tradings(rows)
             # Line 5: battery trajectory via cross-entropy optimization.
             if customer.battery.capacity_kwh > 0:

@@ -18,6 +18,7 @@ whole stack; a single table is the one-game case.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -54,41 +55,46 @@ def _build_cost_table(
     return table
 
 
+@lru_cache(maxsize=4096)
 def _task_units(
     task: ApplianceTask, horizon: int, *, slot_hours: float
 ) -> tuple[NDArray[np.int_], int, NDArray[np.bool_]]:
-    """Shared DP setup: level units, required units and the window mask."""
+    """Shared DP setup: level units, required units and the window mask.
+
+    Checks the task's feasibility first.  All of it is a pure function of
+    ``(task, horizon, slot_hours)``, so it runs once per distinct task
+    and the arrays come back read-only.
+    """
+    task.check_feasible(horizon, slot_hours=slot_hours)
     unit = task.energy_unit(slot_hours=slot_hours)
     level_units = np.array(
         [round(p * slot_hours / unit) for p in task.power_levels], dtype=int
     )
     required_units = round(task.energy_kwh / unit)
     mask = task.window_mask(horizon)
+    level_units.flags.writeable = mask.flags.writeable = False
     return level_units, required_units, mask
 
 
 def _backtrack(
     task: ApplianceTask,
     choice: NDArray[np.int16],
-    level_units: NDArray[np.int_],
+    level_units: list[int],
     required_units: int,
-    mask: NDArray[np.bool_],
-) -> NDArray[np.float64]:
-    """Recover the optimal power assignment from the DP choice table."""
-    horizon = choice.shape[0]
-    power = np.zeros(horizon)
+    slots: list[int],
+    power: NDArray[np.float64],
+) -> None:
+    """Write the optimal power assignment recovered from the DP choice
+    table into ``power``; ``slots`` are the window's slots, in order."""
     remaining = required_units
-    for h in range(horizon):
-        if not mask[h]:
-            continue
+    for h in slots:
         j = int(choice[h, remaining])
         power[h] = task.power_levels[j]
-        remaining -= int(level_units[j])
+        remaining -= level_units[j]
     if remaining != 0:
         raise AssertionError(
             f"{task.name}: backtracking left {remaining} units unassigned"
         )
-    return power
 
 
 def _schedule_tables(
@@ -96,16 +102,14 @@ def _schedule_tables(
     cost_tables: NDArray[np.float64],
     slot_hours: float,
     backend: KernelBackend | str | None,
-) -> tuple[list[ApplianceSchedule], NDArray[np.float64], int]:
-    """Schedules and optimal costs for a ``(G, H, L)`` stack of tables,
-    plus the DP's number of energy states."""
+) -> tuple[NDArray[np.float64], NDArray[np.float64], int]:
+    """Power schedules ``(G, H)`` and optimal costs for a ``(G, H, L)``
+    stack of tables, plus the DP's number of energy states."""
     n_games, horizon, _ = cost_tables.shape
-    task.check_feasible(horizon, slot_hours=slot_hours)
-    kernel = get_backend(backend)
-
     level_units, required_units, mask = _task_units(
         task, horizon, slot_hours=slot_hours
     )
+    kernel = get_backend(backend)
     # values[g, r] = minimal cost to consume exactly r units from slot 0 on;
     # choices[g, h, r] = level index chosen at slot h when r units remain.
     n_states = required_units + 1
@@ -118,17 +122,12 @@ def _schedule_tables(
             f"in window [{task.earliest_start}, {task.deadline}]"
         )
 
-    schedules = [
-        ApplianceSchedule(
-            task=task,
-            power=tuple(
-                _backtrack(task, choices[g], level_units, required_units, mask)
-            ),
-        )
-        for g in range(n_games)
-    ]
+    powers = np.zeros((n_games, horizon))
+    units, slots = level_units.tolist(), np.flatnonzero(mask).tolist()
+    for g in range(n_games):
+        _backtrack(task, choices[g], units, required_units, slots, powers[g])
     PERF.add("dp.cells", n_states * horizon * n_games)
-    return schedules, values[:, required_units].copy(), n_states
+    return powers, values[:, required_units].copy(), n_states
 
 
 @TRACER.traced("dp.solve", category="scheduling")
@@ -174,9 +173,10 @@ def schedule_appliance_table(
             f"cost_table has {n_levels} level columns but task has "
             f"{len(task.power_levels)} power levels"
         )
-    [schedule], optimal_costs, n_states = _schedule_tables(
+    [power], optimal_costs, n_states = _schedule_tables(
         task, cost_table[None, :, :], slot_hours, backend
     )
+    schedule = ApplianceSchedule(task=task, power=tuple(power.tolist()))
     diagnostics = DpDiagnostics(
         n_states=n_states,
         n_slots=horizon,
@@ -186,6 +186,33 @@ def schedule_appliance_table(
 
 
 @TRACER.traced("dp.solve_batch", category="scheduling")
+def schedule_appliance_powers(
+    task: ApplianceTask,
+    cost_tables: NDArray[np.float64],
+    *,
+    slot_hours: float = 1.0,
+    backend: KernelBackend | str | None = None,
+) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """Optimal power schedules for one task under a batch of cost tables.
+
+    ``cost_tables`` has shape ``(G, H, L)`` — one dense table per game of
+    a lockstep batch.  The backward recursion runs once over the whole
+    batch through the kernel backend.  Returns ``(powers,
+    optimal_costs)`` of shapes ``(G, H)`` and ``(G,)``: row ``g`` is the
+    power draw of ``schedule_appliance_table(task, cost_tables[g])``'s
+    schedule, as the game solver stores it.
+    """
+    if cost_tables.ndim != 3 or cost_tables.shape[2] != len(task.power_levels):
+        raise ValueError(
+            f"cost_tables must have shape (G, H, {len(task.power_levels)}), "
+            f"got {cost_tables.shape}"
+        )
+    powers, optimal_costs, _ = _schedule_tables(
+        task, cost_tables, slot_hours, backend
+    )
+    return powers, optimal_costs
+
+
 def schedule_appliance_tables(
     task: ApplianceTask,
     cost_tables: NDArray[np.float64],
@@ -193,24 +220,18 @@ def schedule_appliance_tables(
     slot_hours: float = 1.0,
     backend: KernelBackend | str | None = None,
 ) -> tuple[list[ApplianceSchedule], NDArray[np.float64]]:
-    """Optimal schedules for one task under a batch of cost tables.
+    """:func:`schedule_appliance_powers` with each row as a schedule.
 
-    ``cost_tables`` has shape ``(G, H, L)`` — one dense table per game of
-    a lockstep batch.  The backward recursion runs once over the whole
-    batch through the kernel backend, and entry ``g`` of the result is
-    what ``schedule_appliance_table(task, cost_tables[g])`` returns.
-
-    Returns ``(schedules, optimal_costs)`` with ``optimal_costs`` of
-    shape ``(G,)``.
+    Entry ``g`` of the result is what ``schedule_appliance_table(task,
+    cost_tables[g])`` returns.  Returns ``(schedules, optimal_costs)``
+    with ``optimal_costs`` of shape ``(G,)``.
     """
-    if cost_tables.ndim != 3 or cost_tables.shape[2] != len(task.power_levels):
-        raise ValueError(
-            f"cost_tables must have shape (G, H, {len(task.power_levels)}), "
-            f"got {cost_tables.shape}"
-        )
-    schedules, optimal_costs, _ = _schedule_tables(
-        task, cost_tables, slot_hours, backend
+    powers, optimal_costs = schedule_appliance_powers(
+        task, cost_tables, slot_hours=slot_hours, backend=backend
     )
+    schedules = [
+        ApplianceSchedule(task=task, power=tuple(row)) for row in powers.tolist()
+    ]
     return schedules, optimal_costs
 
 

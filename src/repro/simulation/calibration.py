@@ -16,7 +16,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from repro.attacks.hacking import MeterHackingProcess
-from repro.detection.single_event import SingleEventDetector
+from repro.detection.single_event import SingleEventDetector, draw_margin_noise
 from repro.perf.parallel import ParallelMap, spawn_seeds
 
 
@@ -119,37 +119,93 @@ def measure_single_event_rates(
         tp_hits = sum(counts[:n_chunks])
         fp_hits = sum(counts[n_chunks:])
     else:
-        # Phase split: replay the serial path's rng consumption exactly
-        # (attack, noise, attack, noise, ..., then the clean noises),
-        # then batch-solve every distinct attacked game in one lockstep
-        # prefetch, then evaluate the flags against the predrawn noises.
-        # Draw-for-draw and flag-for-flag identical to checking inline.
-        attacked: list[NDArray[np.float64]] = []
-        attack_noises: list[float] = []
-        for _ in range(n_trials):
-            attack = hacking.draw_attack()
-            attacked.append(attack.apply(prices))
-            attack_noises.append(detector.draw_noise(rng))
-        clean_noises = [detector.draw_noise(rng) for _ in range(n_trials)]
-
-        detector.simulator.prefetch(attacked + [prices])
-
-        tp_hits = sum(
-            1
-            for vector, noise in zip(attacked, attack_noises)
-            if detector.evaluate(vector, noise=noise).flagged
+        trials = draw_calibration_trials(
+            prices,
+            hacking,
+            n_trials=n_trials,
+            rng=rng,
+            margin_noise_std=detector.margin_noise_std,
         )
-        fp_hits = sum(
-            1
-            for noise in clean_noises
-            if detector.evaluate(prices, noise=noise).flagged
-        )
+        return evaluate_calibration_trials(detector, trials)
 
     return SingleEventRates(
         tp_rate=tp_hits / n_trials,
         fp_rate=fp_hits / n_trials,
         n_attacked_trials=n_trials,
         n_clean_trials=n_trials,
+    )
+
+
+@dataclass(frozen=True)
+class CalibrationTrials:
+    """Every random draw of one serial calibration run.
+
+    ``attacked[i]`` is checked with ``attack_noises[i]`` and the clean
+    ``prices`` once per entry of ``clean_noises``.
+    """
+
+    prices: NDArray[np.float64]
+    attacked: tuple[NDArray[np.float64], ...]
+    attack_noises: tuple[float, ...]
+    clean_noises: tuple[float, ...]
+
+
+def draw_calibration_trials(
+    clean_prices: NDArray[np.float64],
+    hacking: MeterHackingProcess,
+    *,
+    n_trials: int,
+    rng: np.random.Generator,
+    margin_noise_std: float,
+) -> CalibrationTrials:
+    """The draw half of the serial calibration: solves nothing.
+
+    Consumes the generators exactly as checking inline would: (attack,
+    noise) per attacked trial, then one noise per clean trial.  The
+    attacks come from ``hacking``'s sampler, whose state is untouched.
+    """
+    if n_trials < 1:
+        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
+    prices = np.asarray(clean_prices, dtype=float)
+    attacked: list[NDArray[np.float64]] = []
+    attack_noises: list[float] = []
+    for _ in range(n_trials):
+        attacked.append(hacking.draw_attack().apply(prices))
+        attack_noises.append(draw_margin_noise(rng, margin_noise_std))
+    clean_noises = [draw_margin_noise(rng, margin_noise_std) for _ in range(n_trials)]
+    return CalibrationTrials(
+        prices=prices,
+        attacked=tuple(attacked),
+        attack_noises=tuple(attack_noises),
+        clean_noises=tuple(clean_noises),
+    )
+
+
+def evaluate_calibration_trials(
+    detector: SingleEventDetector, trials: CalibrationTrials
+) -> SingleEventRates:
+    """The evaluate half: rates of ``detector`` over drawn trials.
+
+    Every distinct game not yet in the simulator's cache is solved in
+    one lockstep prefetch first, so the flags are those of checking
+    inline, draw for draw.  Draws nothing.
+    """
+    detector.simulator.prefetch([*trials.attacked, trials.prices])
+    tp_hits = sum(
+        1
+        for vector, noise in zip(trials.attacked, trials.attack_noises)
+        if detector.evaluate(vector, noise=noise).flagged
+    )
+    fp_hits = sum(
+        1
+        for noise in trials.clean_noises
+        if detector.evaluate(trials.prices, noise=noise).flagged
+    )
+    return SingleEventRates(
+        tp_rate=tp_hits / len(trials.attacked),
+        fp_rate=fp_hits / len(trials.clean_noises),
+        n_attacked_trials=len(trials.attacked),
+        n_clean_trials=len(trials.clean_noises),
     )
 
 

@@ -50,7 +50,10 @@ from repro.detection.solvers import PbviPolicy, QmdpPolicy
 from repro.prediction.price import AwarePricePredictor, UnawarePricePredictor
 from repro.scheduling.game import Community
 from repro.simulation.cache import GameSolutionCache, global_game_cache
-from repro.simulation.calibration import measure_single_event_rates
+from repro.simulation.calibration import (
+    draw_calibration_trials,
+    evaluate_calibration_trials,
+)
 from repro.simulation.scenario import DetectorKind
 
 DETECTOR_KINDS = ("aware", "unaware", "none")
@@ -203,11 +206,11 @@ def build_world(
     :func:`~repro.simulation.scenario.run_long_term_scenario`).
 
     RNG draws happen in a fixed order — community build, history
-    generation, per-day environment, hacking process, detector
-    calibration, policy seeding — so the generator handed to the
-    per-slot replay is in the state the golden digests were recorded
-    from.  The day-level games are solved up front in one lockstep
-    batch (:meth:`CommunityResponseSimulator.prefetch`), which draws
+    generation, per-day environment, detector calibration trials,
+    policy seeding — so the generator handed to the per-slot replay is
+    in the state the golden digests were recorded from.  The day-level
+    and calibration games are solved up front in one lockstep batch per
+    simulator (:meth:`CommunityResponseSimulator.prefetch`), which draws
     nothing and is bitwise-identical to solving them lazily.
 
     A caller-supplied ``history`` is not recorded in ``build_spec``;
@@ -272,13 +275,6 @@ def build_world(
     truth_simulator, predicted_simulator = response_simulators(
         community, config, aware=aware, cache=cache
     )
-    # Every detector construction below (predicted PAR) and every slot's
-    # clean response then hits the cache.
-    if predicted_simulator is truth_simulator:
-        truth_simulator.prefetch(day_predicted + day_clean_prices)
-    else:
-        predicted_simulator.prefetch(day_predicted)
-        truth_simulator.prefetch(day_clean_prices)
     hacking = MeterHackingProcess(
         config.detection.n_monitored_meters,
         config.detection.hack_probability,
@@ -286,6 +282,27 @@ def build_world(
         attack_family=attack_family,
         rng=rng,
     )
+    trials = (
+        None
+        if detector == "none"
+        else draw_calibration_trials(
+            day_clean_prices[0],
+            hacking,
+            n_trials=calibration_trials,
+            rng=rng,
+            margin_noise_std=config.detection.margin_noise_std,
+        )
+    )
+    # One lockstep batch per simulator solves every day-level and
+    # calibration game; the detector constructions below (predicted PAR),
+    # the calibration checks and every slot's clean response then hit the
+    # cache.
+    truth_prices = day_clean_prices + ([] if trials is None else list(trials.attacked))
+    if predicted_simulator is truth_simulator:
+        truth_simulator.prefetch(day_predicted + truth_prices)
+    else:
+        predicted_simulator.prefetch(day_predicted)
+        truth_simulator.prefetch(truth_prices)
     day_detectors = [
         SingleEventDetector(
             truth_simulator,
@@ -299,14 +316,8 @@ def build_world(
 
     long_term: LongTermDetector | None = None
     tp_rate = fp_rate = 0.0
-    if detector != "none":
-        rates = measure_single_event_rates(
-            day_detectors[0],
-            day_clean_prices[0],
-            hacking,
-            n_trials=calibration_trials,
-            rng=rng,
-        ).clipped()
+    if trials is not None:
+        rates = evaluate_calibration_trials(day_detectors[0], trials).clipped()
         tp_rate, fp_rate = rates.tp_rate, rates.fp_rate
         long_term = long_term_detector(
             config, tp_rate=tp_rate, fp_rate=fp_rate, policy=policy, rng=rng

@@ -274,3 +274,68 @@ class TestTariffDigests:
     def test_solve_alone_digests(self, community, backend, tariff_name):
         digest = _solve_alone_digest(community, NAMED_TARIFFS[tariff_name], backend)
         assert digest == SOLVE_ALONE_DIGESTS[tariff_name]
+
+
+class TestCeMatchesStandalone:
+    """The game's batched CE step is the standalone CE, row for row.
+
+    ``LockstepGameSolver._ce_battery`` draws each game's population from
+    ``default_rng(customer_id + 7919)``; ``BatteryOptimizer.optimize``
+    (``CrossEntropyOptimizer.minimize``) with that generator must find the
+    same trajectory and cost, bit for bit, whether the game runs alone or
+    in a batch whose games stop at different iterations.
+    """
+
+    CONFIG = GameConfig(ce_samples=16, ce_elites=4, ce_iterations=40)
+
+    @pytest.mark.parametrize("tariff_name", ["flat", "tou", "spread_capped"])
+    @pytest.mark.parametrize("n_games", [1, 3])
+    def test_rows_equal_battery_optimizer(self, community, tariff_name, n_games):
+        from repro.scheduling.batch import LockstepGameSolver
+
+        tariff = NAMED_TARIFFS[tariff_name]
+        solver = LockstepGameSolver(
+            community,
+            _prices(n_games),
+            sellback_divisor=1.5,
+            config=self.CONFIG,
+            tariff=tariff,
+        )
+        customer = community.customers[1]
+        rng = np.random.default_rng(8)
+        load = customer.base_load_array + rng.uniform(0.0, 1.0, (n_games, HORIZON))
+        others = rng.uniform(-1.0, 6.0, (n_games, HORIZON))
+        x0 = rng.uniform(0.0, customer.battery.capacity_kwh, (n_games, HORIZON))
+        best_x, best_f = solver._ce_battery(
+            customer, load, others, solver.buy_rates, solver.sell_rates, x0, 2
+        )
+        iterations = set()
+        for g in range(n_games):
+            result = self._optimize_alone(
+                solver.cost_models[g], customer, load[g], others[g], x0[g]
+            )
+            assert best_x[g].tobytes() == result.x.tobytes()
+            assert best_f[g] == result.fun
+            iterations.add(result.n_iterations)
+        # The batch is only a real test if games leave it at different times.
+        assert n_games == 1 or len(iterations) > 1
+
+    def _optimize_alone(self, cost_model, customer, load, others, x0):
+        """One game's CE step through the standalone optimizer, on the
+        per-customer generator the game solver seeds."""
+        problem = BatteryProblem(
+            load=tuple(load),
+            pv=customer.pv,
+            others_trading=tuple(others),
+            spec=customer.battery,
+            cost_model=cost_model,
+            multiplicity=2,
+        )
+        return BatteryOptimizer(
+            n_samples=self.CONFIG.ce_samples,
+            n_elites=self.CONFIG.ce_elites,
+            n_iterations=self.CONFIG.ce_iterations,
+            smoothing=self.CONFIG.ce_smoothing,
+        ).optimize(
+            problem, x0=x0, rng=np.random.default_rng(customer.customer_id + 7919)
+        )

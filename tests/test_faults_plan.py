@@ -1,11 +1,16 @@
 """Unit tests for the fault-plan model and its parsing grammar."""
 
 import json
+from dataclasses import fields
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.faults.plan import (
     BUILTIN_PLANS,
+    MAX_HOLD_TICKS,
     FaultPlan,
     FaultPlanError,
     builtin_plan,
@@ -73,6 +78,31 @@ class TestFaultPlanSerialization:
         with pytest.raises(FaultPlanError, match="bad fault-plan payload"):
             FaultPlan.from_dict({"drop_prob": "often"})
 
+    @pytest.mark.parametrize("payload", [[], None, "chaos", 3, [{"seed": 1}]])
+    def test_from_dict_refuses_non_objects(self, payload):
+        with pytest.raises(FaultPlanError, match="expected an object"):
+            FaultPlan.from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("seed", True),
+            ("seed", 2.7),
+            ("seed", "3"),
+            ("seed", 1e400),
+            ("max_delay", 2.0),
+            ("max_stall", float("inf")),
+            ("max_stall", MAX_HOLD_TICKS + 1),
+            ("drop_prob", True),
+            ("stall_prob", 10**400),
+            ("stall_prob", float("nan")),
+            ("corrupt_prob", None),
+        ],
+    )
+    def test_from_dict_coerces_nothing(self, field, value):
+        with pytest.raises(FaultPlanError, match=field):
+            FaultPlan.from_dict({field: value})
+
     def test_from_dict_applies_defaults(self):
         plan = FaultPlan.from_dict({"drop_prob": 0.25})
         assert plan == FaultPlan(drop_prob=0.25)
@@ -128,3 +158,50 @@ class TestParseFaultSpec:
         path.write_text("[1, 2]")
         with pytest.raises(FaultPlanError, match="JSON object"):
             parse_fault_spec(str(path))
+
+
+json_values = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(-(2**70), 2**70),
+        st.floats(),
+        st.text(max_size=6),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    ),
+    max_leaves=8,
+)
+#: Values a retyped field takes besides random JSON.
+nasty = st.sampled_from(
+    [float("inf"), float("nan"), -1, 0, 2**64, 10**400, 1e300, 2.7, True, "3", [], {}, None]
+)
+FIELDS = [spec.name for spec in fields(FaultPlan)]
+
+
+@st.composite
+def payloads(draw):
+    """Random JSON, or a builtin plan's dict with fields retyped."""
+    if draw(st.booleans()):
+        return draw(json_values)
+    payload = BUILTIN_PLANS[draw(st.sampled_from(sorted(BUILTIN_PLANS)))].to_dict()
+    for name in draw(st.lists(st.sampled_from(FIELDS), min_size=1, max_size=3)):
+        payload[name] = draw(st.one_of(nasty, json_values))
+    return payload
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(payload=payloads())
+def test_from_dict_yields_a_usable_plan_or_fault_plan_error(payload):
+    """Fuzzed directly (not only as a ``POST /faults`` body): the only
+    outcomes are a plan whose generator draws work, or FaultPlanError."""
+    try:
+        plan = FaultPlan.from_dict(payload)
+    except FaultPlanError:
+        return
+    assert FaultPlan.from_dict(json.loads(json.dumps(plan.to_dict()))) == plan
+    rng = np.random.default_rng(np.random.SeedSequence(plan.seed))
+    assert 1 <= rng.integers(1, plan.max_delay + 1) <= MAX_HOLD_TICKS
+    assert 1 <= rng.integers(1, plan.max_stall + 1) <= MAX_HOLD_TICKS

@@ -125,7 +125,7 @@ json_leaf = st.one_of(
 )
 #: Values a retyped field takes besides random JSON.
 nasty = st.sampled_from(
-    [float("inf"), float("-inf"), float("nan"), -1, 2**64, 1e300, "", [], {}, None]
+    [float("inf"), float("-inf"), float("nan"), -1, 2**64, 10**400, 1e300, "", [], {}, None]
 )
 json_value = st.recursive(
     json_leaf,
@@ -225,8 +225,11 @@ def _valid_bodies(world: World, target: str, path: str) -> st.SearchStrategy[Any
                     st.fixed_dictionaries(
                         {},
                         optional={
+                            "seed": st.integers(0, 99),
                             "drop_prob": st.floats(0, 1),
                             "corrupt_prob": st.floats(0, 1),
+                            "max_delay": st.integers(1, 4),
+                            "max_stall": st.integers(1, 4),
                         },
                     ),
                 )

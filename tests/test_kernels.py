@@ -216,6 +216,42 @@ class TestBatteryCosts:
         )
 
 
+def _adversarial_case(kind: str, n_games: int) -> tuple:
+    """``(tables, level_units, n_states, mask)`` built to break a
+    vectorized recursion that is only approximately the reference one."""
+    rng = np.random.default_rng(len(kind) * 10 + n_games)
+    level_units = np.array([0, 1, 2, 4])
+    n_states = 9
+    mask = np.zeros(HORIZON, dtype=bool)
+    mask[2:6] = mask[9:13] = mask[18:] = True  # a gapped window
+    shape = (n_games, HORIZON, level_units.size)
+    if kind == "ties":
+        # Few distinct values: exact ties across levels everywhere.
+        tables = rng.integers(0, 3, size=shape).astype(float)
+    elif kind == "signed_zeros":
+        tables = rng.choice([0.0, -0.0, 1.0, -1.0], size=shape)
+    elif kind == "zero_idle":
+        # The game's tables: idling is exactly free.
+        tables = rng.integers(0, 4, size=shape) * 0.25
+        tables[:, :, 0] = 0.0
+    elif kind == "unreachable":
+        # Two slots of levels 2 and 3 units: states 1 and 7-8 stay at inf.
+        level_units = np.array([0, 2, 3])
+        mask = np.zeros(HORIZON, dtype=bool)
+        mask[[4, 11]] = True
+        tables = rng.choice([0.0, -0.0, 1.0], size=shape[:2] + (3,))
+    elif kind == "wide_level":
+        # Level units at and beyond the state count reach no state.
+        level_units = np.array([0, 1, 3, n_states, n_states + 2])
+        tables = rng.choice([0.0, -0.0, 0.5], size=shape[:2] + (5,))
+    else:
+        # Slots of all-equal costs, signed zeros mixed in.
+        tables = np.repeat(
+            rng.choice([0.0, -0.0, 2.0], size=shape[:2] + (1,)), 4, axis=2
+        )
+    return tables, level_units, n_states, mask
+
+
 class TestApplianceDp:
     def _table(self, task, n_games: int, seed: int) -> np.ndarray:
         rng = np.random.default_rng(seed)
@@ -278,6 +314,36 @@ class TestApplianceDp:
             )
             assert schedule.power == single.power
             assert cost == diag.optimal_cost
+
+    @pytest.mark.parametrize("n_games", [1, 5])
+    @pytest.mark.parametrize(
+        "kind",
+        ["ties", "signed_zeros", "zero_idle", "unreachable", "wide_level", "flat_slots"],
+    )
+    def test_adversarial_tables_match_reference_bytes(
+        self, backend, kind, n_games
+    ):
+        """Where a rewrite of the recursion would slip: exact ties (the
+        first level wins), signed zeros (``-0.0 < 0.0`` is false),
+        unreachable states and levels wider than the state space."""
+        tables, level_units, n_states, mask = _adversarial_case(kind, n_games)
+        values, choices = backend.dp_backward_batch(
+            tables, level_units, n_states, mask
+        )
+        ref_values, ref_choices = REFERENCE.dp_backward_batch(
+            tables, level_units, n_states, mask
+        )
+        assert values.tobytes() == ref_values.tobytes()
+        assert choices.dtype == ref_choices.dtype
+        np.testing.assert_array_equal(choices, ref_choices)
+
+    def test_unreachable_states_keep_choice_zero(self, backend):
+        tables, level_units, n_states, mask = _adversarial_case("unreachable", 5)
+        values, choices = backend.dp_backward_batch(
+            tables, level_units, n_states, mask
+        )
+        assert np.isinf(values).any() and np.isfinite(values).any()
+        np.testing.assert_array_equal(choices[:, :, 1], 0)
 
 
 class TestEndToEndGameEquivalence:

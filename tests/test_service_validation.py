@@ -232,6 +232,27 @@ class TestFaultEndpoints:
             _post(base, "/faults", {"plan": bad})
         assert excinfo.value.code == 400
 
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b'{"plan": {"seed": 1e400}}',
+            b'{"plan": {"max_stall": 1e400}}',
+            b'{"plan": {"stall_prob": 1' + b"0" * 400 + b"}}",
+            b'{"plan": {"seed": true}}',
+            b'{"plan": {"max_delay": 2.7}}',
+            b'{"plan": {"max_stall": "3"}}',
+            # Accepted at install once, then a 500 on the first stalled poll.
+            b'{"plan": {"stall_prob": 1.0, "max_stall": 18446744073709551616}}',
+        ],
+    )
+    def test_overflowing_or_mistyped_plan_fields_are_400(self, service_url, raw):
+        base, _ = service_url
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _post_raw(base, "/faults", raw)
+        assert excinfo.value.code == 400
+        field = json.loads(raw)["plan"].popitem()[0]
+        assert field in _error_body(excinfo)["error"]
+
     def test_invalid_plan_object_is_400(self, service_url):
         base, _ = service_url
         with pytest.raises(urllib.error.HTTPError) as excinfo:

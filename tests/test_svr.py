@@ -1,5 +1,7 @@
 """Tests for the scratch-built epsilon-SVR."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -145,3 +147,130 @@ class TestDualProperties:
         a = SupportVectorRegressor().fit(x, y).predict(x)
         b = SupportVectorRegressor().fit(x, y).predict(x)
         np.testing.assert_array_equal(a, b)
+
+
+def _fit_case(name: str) -> tuple[SupportVectorRegressor, np.ndarray]:
+    """One fitted model per bit-pinned case, and its held-out grid."""
+    seeds = {"rbf": 101, "linear": 102, "poly": 103, "clip": 104, "tube": 105, "capped": 106}
+    rng = np.random.default_rng(seeds[name])
+    if name == "rbf":
+        x = rng.normal(size=(90, 4))
+        y = np.sin(x[:, 0]) + 0.3 * x[:, 1] * x[:, 2] + rng.normal(0, 0.1, 90)
+        model = SupportVectorRegressor(kernel="rbf", c=10.0, epsilon=0.05)
+    elif name == "linear":
+        x = rng.normal(size=(70, 3))
+        y = x @ np.array([1.5, -2.0, 0.5]) + rng.normal(0, 0.2, 70)
+        model = SupportVectorRegressor(kernel="linear", c=5.0, epsilon=0.1)
+    elif name == "poly":
+        x = rng.uniform(-1, 1, size=(60, 2))
+        y = x[:, 0] ** 2 - x[:, 1] + rng.normal(0, 0.05, 60)
+        model = SupportVectorRegressor(kernel="poly", degree=2, c=20.0, epsilon=0.02)
+    elif name == "clip":
+        # Heavy-tailed noise and a small box: most coefficients sit at +-C.
+        x = rng.normal(size=(50, 2))
+        y = x[:, 0] + rng.standard_t(1.5, 50)
+        model = SupportVectorRegressor(kernel="rbf", c=0.3, epsilon=0.01)
+    elif name == "tube":
+        # A tube wider than the noise: most coefficients stay exactly zero.
+        x = rng.normal(size=(40, 2))
+        y = 0.5 * x[:, 0] + rng.normal(0, 0.05, 40)
+        model = SupportVectorRegressor(kernel="linear", c=10.0, epsilon=0.9)
+    else:
+        x = rng.normal(size=(80, 3))
+        y = np.cos(2 * x[:, 0]) + x[:, 1]
+        model = SupportVectorRegressor(
+            kernel="rbf", c=100.0, epsilon=0.001, max_iterations=7
+        )
+    model.fit(x, y)
+    return model, rng.normal(size=(25, x.shape[1]))
+
+
+# SHA-256 of (beta, n_sweeps, predictions on a held-out grid) per case.
+# The descent's coordinate order and rounding are the spec: a faster
+# sweep must reproduce these bytes, signed zeros included.
+SVR_DIGESTS = {
+    "rbf": "20e860733eeb712c9d8306c0fcea20d9af2f0d7aa9c78f8591242089aadba4fc",
+    "linear": "15676340e662ade47bb2594934a4c6c64d87415ecae7a1e9ed1642e7d81c6cdc",
+    "poly": "7800cc034fdfadd510e25c52d72e39adf9ea13350dd68977d76fc21904f744e1",
+    "clip": "c40a00089591a10a7094132d437135a84c9d0425a62396aaace8cf17a2c164e5",
+    "tube": "5328a1b554ead303e0ef123acf028e3399202f93da3b7c53bf8a7380b160f5f6",
+    "capped": "613a19358c6bcb6f7cf3d15445705bbd72933307bfb9f5604b71453332209ccf",
+}
+
+
+class TestBitPins:
+    @pytest.mark.parametrize("name", sorted(SVR_DIGESTS))
+    def test_fit_digest(self, name):
+        model, grid = _fit_case(name)
+        digest = hashlib.sha256()
+        digest.update(np.asarray(model._beta, dtype=np.float64).tobytes())
+        digest.update(np.asarray([model.n_sweeps], dtype=np.float64).tobytes())
+        digest.update(np.asarray(model.predict(grid), dtype=np.float64).tobytes())
+        assert digest.hexdigest() == SVR_DIGESTS[name]
+
+    def test_cases_cover_the_update_branches(self):
+        """The pinned cases reach the box, the tube, the cap and -0.0."""
+        clip, _ = _fit_case("clip")
+        assert np.sum(np.abs(clip._beta) == clip.c) > 10
+        assert clip.n_sweeps < clip.max_iterations
+        tube, _ = _fit_case("tube")
+        zeros = tube._beta == 0
+        assert zeros.sum() > 30
+        assert np.any(np.signbit(tube._beta[zeros]))
+        assert tube.n_sweeps < tube.max_iterations
+        capped, _ = _fit_case("capped")
+        assert capped.n_sweeps == capped.max_iterations == 7
+
+
+def _reference_descent(model: SupportVectorRegressor, y: np.ndarray) -> tuple:
+    """The dual coordinate descent on numpy scalars, as first written:
+    the oracle for the fitted model's beta and sweep count."""
+    xs = model._x_train
+    ys = (np.asarray(y, dtype=float) - model._y_mean) / model._y_std
+    k = _kernel_matrix(xs, xs, model.kernel, model._gamma, model.degree, model.coef0)
+    k_tilde = k + 1.0
+    n = xs.shape[0]
+    beta = np.zeros(n)
+    k_beta = np.zeros(n)
+    diag = np.diag(k_tilde).copy()
+    diag = np.where(diag > 1e-12, diag, 1e-12)
+    n_sweeps = 0
+    for sweep in range(model.max_iterations):
+        max_change = 0.0
+        for i in range(n):
+            z = -(k_beta[i] - diag[i] * beta[i] - ys[i])
+            candidate = np.sign(z) * max(abs(z) - model.epsilon, 0.0) / diag[i]
+            new_beta = min(max(candidate, -model.c), model.c)
+            change = new_beta - beta[i]
+            if change != 0:
+                k_beta += change * k_tilde[:, i]
+                beta[i] = new_beta
+                max_change = max(max_change, abs(change))
+        n_sweeps = sweep + 1
+        if max_change < model.tol:
+            break
+    return beta, n_sweeps
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 40),
+    kernel=st.sampled_from(["rbf", "linear", "poly"]),
+    c=st.sampled_from([0.05, 1.0, 1e3]),
+    epsilon=st.sampled_from([0.0, 0.05, 2.0]),
+    rounded=st.booleans(),
+)
+def test_fit_equals_reference_descent(seed, n, kernel, c, epsilon, rounded):
+    """Random problems, ties and exact zeros included (``rounded``)."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, 2))
+    y = x[:, 0] + rng.standard_t(2.0, n)
+    if rounded:
+        x, y = np.round(x), np.round(y)
+    model = SupportVectorRegressor(
+        kernel=kernel, c=c, epsilon=epsilon, degree=2, max_iterations=30
+    ).fit(x, y)
+    beta, n_sweeps = _reference_descent(model, y)
+    assert model._beta.tobytes() == beta.tobytes()
+    assert model.n_sweeps == n_sweeps

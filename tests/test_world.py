@@ -5,7 +5,8 @@ world, the replay and synthetic engines, fleet specs, checkpoint
 resume, the CLI figure environment and the framework facade — builds
 its simulators through :func:`repro.simulation.world.response_simulators`.
 These tests pin that ``config.solver`` reaches each of them, that the
-replay world solves its day-level games in one lockstep prefetch, and
+replay world solves its day-level and calibration games in one lockstep
+prefetch per simulator, and
 that misspelt detector/policy names fail instead of falling through to
 a default.
 """
@@ -170,7 +171,8 @@ class TestSolverReachesEverySimulator:
 
 
 class TestReplayWorldPrefetch:
-    def test_day_prices_solved_in_one_lockstep_batch(self, tiny_config, monkeypatch):
+    @staticmethod
+    def _spied_world(config, detector, monkeypatch):
         from repro.simulation.world import build_world
 
         prefetched: list[list[np.ndarray]] = []
@@ -190,15 +192,50 @@ class TestReplayWorldPrefetch:
         monkeypatch.setattr(CommunityResponseSimulator, "prefetch", spy_prefetch)
         monkeypatch.setattr(single_event, "solve_games", spy_solve_games)
         world = build_world(
-            tiny_config, detector="aware", n_slots=48, calibration_trials=2,
+            config, detector=detector, n_slots=48, calibration_trials=2,
             cache=GameSolutionCache(),
         )
+        return world, prefetched, batches
+
+    def test_day_prices_solved_in_one_lockstep_batch(self, tiny_config, monkeypatch):
+        """The aware world solves its day-level and calibration games in
+        one batch: the predicted and clean days, then the attacked
+        calibration vectors, which the calibration re-sends with the
+        clean day it checks and finds solved."""
+        world, prefetched, batches = self._spied_world(
+            tiny_config, "aware", monkeypatch
+        )
         day_prices = world.day_predicted + world.day_clean_prices
-        assert len(prefetched[0]) == len(day_prices) == 4
-        for sent, expected in zip(prefetched[0], day_prices):
+        first, calibration = prefetched
+        assert len(first) == len(day_prices) + 2
+        for sent, expected in zip(first, day_prices):
             assert sent.tobytes() == expected.tobytes()
-        # One lockstep solve covers every distinct day-level game.
-        assert batches[0] == len({p.tobytes() for p in day_prices})
+        attacked = first[len(day_prices):]
+        assert [p.tobytes() for p in calibration] == [
+            p.tobytes() for p in attacked + [world.day_clean_prices[0]]
+        ]
+        # One lockstep solve covers every distinct game the world needs.
+        assert batches == [len({p.tobytes() for p in first})]
+
+    def test_unaware_world_solves_one_batch_per_simulator(
+        self, tiny_config, monkeypatch
+    ):
+        world, prefetched, batches = self._spied_world(
+            tiny_config, "unaware", monkeypatch
+        )
+        predicted, truth = prefetched[:2]
+        assert [p.tobytes() for p in predicted] == [
+            p.tobytes() for p in world.day_predicted
+        ]
+        n_days = len(world.day_clean_prices)
+        assert [p.tobytes() for p in truth[:n_days]] == [
+            p.tobytes() for p in world.day_clean_prices
+        ]
+        assert len(truth) == n_days + 2
+        assert batches == [
+            len({p.tobytes() for p in predicted}),
+            len({p.tobytes() for p in truth}),
+        ]
 
 
 def test_unknown_detector_or_policy_names_fail_loudly(tiny_config):
