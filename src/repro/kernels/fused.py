@@ -8,11 +8,21 @@ and ufunc-dispatch overhead without changing a single output bit:
   ``min(capacity, prev + c)`` reduce to ``prev - d`` / ``prev + c``
   (clamping a value already inside ``[0, capacity]`` against the
   un-truncated bound gives the identical result), and the NaN sweep is
-  a no-op on finite input.  The trajectories are held slot-major, so
-  each forward step is four ``out=`` ufunc calls on contiguous rows
-  (one row holds one slot of every trajectory), and the result goes
-  back to row-major order: the cost kernel's row sums round by memory
-  layout.
+  a no-op on finite input.  That leaves the recurrence
+  ``y[h] = min(max(x[h], y[h-1] - d), y[h-1] + c)``, computed one of two
+  ways that give the same bits.  Small populations (a one-game CE step)
+  are swept whole: every slot at once, from the previous sweep's
+  trajectory shifted by one slot, both bounds in one add (``prev - d``
+  is ``prev + (-d)`` in IEEE arithmetic, signed zeros included), until a
+  sweep changes no bit.  After ``k`` sweeps the first ``k`` slots equal
+  the sequential result, and a sweep that changes nothing has reached
+  the recurrence's one fixed point, so at most ``H + 1`` sweeps run.
+  The bits are compared, not the values, since ``==`` takes ``-0.0``
+  for ``0.0``.  Large populations (lockstep batches) bind over more
+  slots and pay per element for every extra sweep, so they step slot by
+  slot, held slot-major so that each step is four ``out=`` calls on
+  contiguous rows.  Either way the result is row-major: the cost
+  kernel's row sums round by memory layout.
 - **Cost**: ``np.diff`` is plain subtraction, so the trading array can
   be built directly into a preallocated buffer, and the buy/sell
   branches reuse the community-total buffer.  This is the in-place twin
@@ -31,7 +41,13 @@ and ufunc-dispatch overhead without changing a single output bit:
   ties across levels and ``-0.0 == 0.0`` included, and an all-``inf``
   state keeps level 0 in both.  The new value is then gathered from the
   chosen candidate, so it is that exact element, sign of zero included
-  (a ``min`` reduction would be free to return either zero).
+  (a ``min`` reduction would be free to return either zero).  A window
+  slot costs five calls: the gather, the add of that slot's costs
+  (broadcast over states once per call, up front), ``argmin`` into the
+  slot's row of the choices, the offsets of the chosen candidates and
+  their gather.  The index arrays and the window's slots depend only on
+  the level units, the state count, the batch size and the mask, so
+  they are built once per distinct set.
 
 Preconditions (guaranteed by the in-pipeline callers, asserted nowhere
 for speed): ``clamp_decisions`` requires finite rows already clipped to
@@ -41,6 +57,8 @@ reference skips those levels, ``argmin`` would pick them).
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -52,6 +70,71 @@ from repro.kernels.base import (
 )
 
 _INF = np.inf
+
+
+@lru_cache(maxsize=1024)
+def _dp_plan(
+    level_units: tuple[int, ...],
+    n_states: int,
+    n_games: int,
+    mask: bytes,
+    mask_dtype: str,
+) -> tuple[int, IntArray, IntArray, IntArray]:
+    """Static set-up of the DP for one level set, state count, batch size
+    and window: the inf pad's width, each (state, level)'s index into the
+    padded values, each (game, state)'s flat offset into the candidates,
+    and the window's slots, last first.  Built once per distinct key; the
+    arrays come back read-only."""
+    # A level of du units reads the value du states back; a shift of
+    # n_states or more reaches no state at all.
+    shifts = np.minimum(np.array(level_units, dtype=np.intp), n_states)
+    pad = int(shifts.max())
+    shifted = pad + np.arange(n_states)[:, None] - shifts[None, :]
+    offsets = (np.arange(n_games * n_states) * len(level_units)).reshape(
+        n_games, n_states
+    )
+    slots = np.flatnonzero(np.frombuffer(mask, dtype=mask_dtype))[::-1]
+    for array in (shifted, offsets, slots):
+        array.flags.writeable = False
+    return pad, shifted, offsets, slots
+
+# Populations of at most this many rows are clamped by whole-trajectory
+# sweeps, larger ones slot by slot.  On the clamp inputs of a smoke and a
+# bench scenario op (2-CPU host), sweeps took a third to a half of the
+# slot loop's time at the one-game CE sizes (16 and 40 rows) and broke
+# even between 64 and 120 rows; lockstep batches (544 rows and up) took
+# three to five times longer by sweeps.
+_SWEEP_MAX_ROWS = 64
+
+
+def _sweep_clamp(
+    rows: FloatArray, initial: float, max_charge: float, max_discharge: float
+) -> tuple[FloatArray, int]:
+    """The clamp of ``(n, H)`` rows by whole-trajectory sweeps, and the
+    number of sweeps it took (at most ``H + 1``)."""
+    n, horizon = rows.shape
+    # lo, hi, then two buffers the sweeps alternate between.
+    block = np.empty((4, n, horizon))
+    lo, hi = bounds = block[:2]
+    # Slot 0's bounds come from the pinned initial charge; the others
+    # from the previous sweep, as prev + (-d) and prev + c in one add
+    # (IEEE subtraction is the addition of the negation, zeros included).
+    lo[:, :1] = initial - max_discharge
+    hi[:, :1] = initial + max_charge
+    bounds_tail = bounds[:, :, 1:]
+    steps = np.array([-max_discharge, max_charge])[:, None, None]
+    heads = [(buffer, buffer[:, :-1]) for buffer in block[2:]]
+    y, prev = rows, rows[:, :-1]
+    sweeps = 0
+    while True:
+        new, new_prev = heads[sweeps & 1]
+        sweeps += 1
+        np.add(prev, steps, out=bounds_tail)
+        np.maximum(rows, lo, out=new)
+        np.minimum(new, hi, out=new)
+        if new.tobytes() == y.tobytes():
+            return new, sweeps
+        y, prev = new, new_prev
 
 
 class FusedBackend:
@@ -71,6 +154,9 @@ class FusedBackend:
         d = np.asarray(decisions, dtype=float)
         horizon = d.shape[-1]
         rows = d.reshape(-1, horizon)
+        if rows.shape[0] <= _SWEEP_MAX_ROWS:
+            clamped, _ = _sweep_clamp(rows, initial, max_charge, max_discharge)
+            return clamped.reshape(d.shape)
         # Slot-major: b[h] holds slot h of every row, contiguous.
         b = np.empty((horizon + 1, rows.shape[0]))
         b[0] = initial
@@ -117,7 +203,8 @@ class FusedBackend:
         sold = y if export_cap_kwh is None else np.maximum(y, -export_cap_kwh)
         np.multiply(total, sold, out=total)
         cost = np.where(y >= 0, buy, total)
-        return np.asarray(cost.sum(axis=-1), dtype=float)
+        # ``ndarray.sum``'s reduction, without its Python wrapper.
+        return np.add.reduce(cost, axis=-1)
 
     # No solver calls this one-game form; the benchmark's traced run
     # (perfbench/ledger.py) looks ``dp_backward`` up in this class's
@@ -143,31 +230,34 @@ class FusedBackend:
         mask: BoolArray,
     ) -> tuple[FloatArray, Int16Array]:
         n_games, horizon, n_levels = cost_tables.shape
-        # A level of du units reads the value du states back; a shift of
-        # n_states or more reaches no state at all.
-        shifts = np.minimum(np.asarray(level_units), n_states)
-        pad = int(shifts.max())
+        pad, shifted, offsets, slots = _dp_plan(
+            tuple(np.asarray(level_units).tolist()),
+            n_states,
+            n_games,
+            mask.tobytes(),
+            mask.dtype.str,
+        )
         # padded[g, pad + r] is value[g, r], behind a pad of inf, so
         # padded[g, pad + r - du] is the shifted value, inf when r < du.
         padded = np.full((n_games, pad + n_states), _INF)
         padded[:, pad] = 0.0
         value = padded[:, pad:]
-        shifted = pad + np.arange(n_states)[:, None] - shifts[None, :]
         candidate = np.empty((n_games, n_states, n_levels))
-        # Flat offset of each (game, state) row of ``candidate``.
-        rows = np.arange(n_games * n_states) * n_levels
-        # Slots outside the mask keep choice 0.
-        choices = np.zeros((n_games, horizon, n_states), dtype=np.int16)
-        for h in range(horizon - 1, -1, -1):
-            if not mask[h]:
-                continue
+        flat = candidate.reshape(-1)
+        index = np.empty((n_games, n_states), dtype=np.intp)
+        # Slot-major choices, written by argmin; slots outside the mask
+        # keep choice 0.
+        chosen = np.zeros((horizon, n_games, n_states), dtype=np.intp)
+        # Each window slot's costs, one (game, state, level) block per
+        # slot: the per-slot add then needs no broadcasting.
+        costs = np.empty((len(slots), n_games, n_states, n_levels))
+        costs[...] = cost_tables[:, slots].transpose(1, 0, 2)[:, :, None, :]
+        for h, cost in zip(slots.tolist(), costs):
             # Every index is in range; "clip" only lets take write
             # straight into ``out`` instead of through a buffer.
-            np.take(padded, shifted, axis=1, out=candidate, mode="clip")
-            np.add(candidate, cost_tables[:, h, None, :], out=candidate)
-            choice = candidate.argmin(axis=2)
-            choices[:, h, :] = choice
-            value[...] = candidate.take(rows + choice.ravel()).reshape(
-                n_games, n_states
-            )
-        return value.copy(), choices
+            padded.take(shifted, axis=1, out=candidate, mode="clip")
+            np.add(candidate, cost, out=candidate)
+            choice = candidate.argmin(axis=2, out=chosen[h])
+            np.add(offsets, choice, out=index)
+            flat.take(index, out=value, mode="clip")
+        return value.copy(), chosen.transpose(1, 0, 2).astype(np.int16, order="C")

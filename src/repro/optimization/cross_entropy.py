@@ -35,6 +35,28 @@ STD_FLOOR = 1e-3
 (:mod:`repro.scheduling.batch`) starts and stops on the same floor."""
 
 
+def elite_statistics(
+    elites: NDArray[np.float64], axis: int
+) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """``(elites.mean(axis), elites.std(axis))``, bit for bit.
+
+    The ufuncs that numpy's ``mean`` and ``std`` run, called directly:
+    the two methods spend most of a small array's time in their Python
+    wrappers.  Mean: ``add.reduce``, then ``true_divide`` by the count.
+    Std: the mean kept as an axis, ``subtract``, ``square``, ``add.reduce``,
+    ``true_divide``, ``sqrt``.  Both CE implementations refit through this,
+    so they stay equal to each other as well as to numpy.
+    """
+    count = elites.shape[axis]
+    mean = np.add.reduce(elites, axis=axis, keepdims=True)
+    np.true_divide(mean, count, out=mean)
+    deviation = np.subtract(elites, mean)
+    np.square(deviation, out=deviation)
+    variance = np.add.reduce(deviation, axis=axis)
+    np.true_divide(variance, count, out=variance)
+    return mean.squeeze(axis), np.sqrt(variance, out=variance)
+
+
 @dataclass(frozen=True)
 class OptimizationResult:
     """Outcome of a stochastic optimization run."""
@@ -215,8 +237,7 @@ class CrossEntropyOptimizer:
                 best_x = samples[elite_idx[0]].copy()
             history.append(best_f)
 
-            new_mean = elites.mean(axis=0)
-            new_std = elites.std(axis=0)
+            new_mean, new_std = elite_statistics(elites, axis=0)
             mean = self.smoothing * new_mean + (1 - self.smoothing) * mean
             std = self.smoothing * new_std + (1 - self.smoothing) * std
             if np.all(std < self.std_floor):

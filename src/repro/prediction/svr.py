@@ -47,8 +47,16 @@ def _kernel_matrix(
     if kernel == "rbf":
         sq_a = np.sum(a**2, axis=1)[:, None]
         sq_b = np.sum(b**2, axis=1)[None, :]
-        sq_dist = np.maximum(sq_a + sq_b - 2.0 * (a @ b.T), 0.0)
-        return np.exp(-gamma * sq_dist)
+        # exp(-gamma * max(sq_a + sq_b - 2 a.b, 0)), in place: a fit's
+        # n x n matrix never needs more than this buffer and the product.
+        sq_dist = sq_a + sq_b
+        cross = a @ b.T
+        cross *= 2.0
+        sq_dist -= cross
+        del cross
+        np.maximum(sq_dist, 0.0, out=sq_dist)
+        sq_dist *= -gamma
+        return np.exp(sq_dist, out=sq_dist)
     raise ValueError(f"unknown kernel {kernel!r}")
 
 
@@ -137,14 +145,16 @@ class SupportVectorRegressor:
             gamma = 1.0 / (xs.shape[1] * variance) if variance > 1e-12 else 1.0
         self._gamma = gamma
 
-        k = _kernel_matrix(xs, xs, self.kernel, gamma, self.degree, self.coef0)
-        k_tilde = k + 1.0  # absorb the bias term
+        k_tilde = _kernel_matrix(xs, xs, self.kernel, gamma, self.degree, self.coef0)
+        k_tilde += 1.0  # absorb the bias term
+        # The sweep reads column i of K~ as a contiguous row, whether or
+        # not K~ came out bitwise symmetric; only that copy is kept.
+        k_tilde_t = np.ascontiguousarray(k_tilde.T)
+        del k_tilde
         n = xs.shape[0]
-        diag = np.diag(k_tilde)
+        diag = np.diag(k_tilde_t)
         diag = np.where(diag > 1e-12, diag, 1e-12).tolist()
-        # Column i of K~ as a contiguous row, whether or not K~ came out
-        # bitwise symmetric.
-        columns = list(np.ascontiguousarray(k_tilde.T))
+        columns = list(k_tilde_t)
         targets_s = ys.tolist()
         beta = [0.0] * n
         k_beta = np.zeros(n)  # running K~ @ beta

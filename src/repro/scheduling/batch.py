@@ -33,7 +33,8 @@ are ``(games, H, levels)``.
 
 from __future__ import annotations
 
-from typing import Sequence
+from functools import lru_cache
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
@@ -42,7 +43,7 @@ from repro.core.config import GameConfig
 from repro.kernels import KernelBackend, get_backend
 from repro.netmetering.cost import CostModel, cost_terms, marginal_cost_terms
 from repro.obs.trace import TRACER
-from repro.optimization.cross_entropy import STD_FLOOR
+from repro.optimization.cross_entropy import STD_FLOOR, elite_statistics
 from repro.perf.counters import PERF
 from repro.scheduling.appliance import ApplianceSchedule
 from repro.scheduling.customer import Customer, CustomerState
@@ -53,14 +54,48 @@ from repro.tariffs import Tariff, cost_model_for
 FloatArray = NDArray[np.float64]
 
 
+@lru_cache(maxsize=4096)
+def _jitter_table(task_id: tuple[int, int], horizon: int, n_levels: int) -> FloatArray:
+    """The DP tie-break jitter of task ``task_id = (customer_id, index)``.
+
+    A pure function of static identity: it comes from a generator seeded
+    by (customer, task), so every solver shares one read-only copy.
+    """
+    customer_id, index = task_id
+    jitter_rng = np.random.default_rng((customer_id * 1_000_003 + index) % (2**32))
+    jitter = jitter_rng.uniform(0.0, 1e-6, size=(horizon, n_levels))
+    jitter.flags.writeable = False
+    return jitter
+
+
+class _CeSetup(NamedTuple):
+    """One customer's static CE inputs: the initial sampling std, the
+    clamp's arguments (the box is ``[0, capacity]``), and its generator
+    with the generator's seeded state, which every CE step restarts
+    from."""
+
+    std: float
+    clamp: dict[str, float]
+    rng: np.random.Generator
+    seeded: dict[str, object]
+
+
 class LockstepState:
-    """Strategy arrays for one archetype across all games in the batch."""
+    """Strategy arrays for one archetype across all games in the batch.
+
+    ``projected`` says that every battery row is a projection output (a
+    bitwise fixed point of the backend's clamp), so a CE step can start
+    from it as it is.  The solver's own states are: they start flat at
+    the initial charge and take only accepted CE bests.  A state built
+    from a caller's strategy (:meth:`of`) is not known to be.
+    """
 
     def __init__(self, customer: Customer, n_games: int) -> None:
         self.customer = customer
         horizon = customer.horizon
         self.power = np.zeros((n_games, len(customer.tasks), horizon))
         self.battery = np.zeros((n_games, horizon))
+        self.projected = False
 
     @classmethod
     def of(cls, state: CustomerState) -> "LockstepState":
@@ -148,8 +183,8 @@ class LockstepGameSolver:
         self.sell_rates = np.stack([sell for _, sell, _ in rates])
         self.export_cap_kwh = rates[0][2]
         self.n_games = prices.shape[0]
-        self._jitter_tables: dict[tuple[int, int], FloatArray] = {}
         self._level_arrays: dict[tuple[int, int], FloatArray] = {}
+        self._ce_setups: dict[int, _CeSetup] = {}
         self._slot_index = np.arange(horizon)
 
     # ------------------------------------------------------------------
@@ -158,26 +193,37 @@ class LockstepGameSolver:
     def _task_tables(
         self, customer: Customer, index: int
     ) -> tuple[FloatArray, FloatArray]:
-        """Cached (jitter table, power-level array) for one task.
-
-        Both are pure functions of static identity: the DP tie-break
-        jitter comes from a generator seeded by (customer, task), so
-        caching it is exact.
-        """
+        """Cached (jitter table, power-level array) for one task."""
         key = (customer.customer_id, index)
-        jitter = self._jitter_tables.get(key)
-        if jitter is None:
-            task = customer.tasks[index]
-            levels = np.asarray(task.power_levels)
-            jitter_rng = np.random.default_rng(
-                (customer.customer_id * 1_000_003 + index) % (2**32)
+        levels = self._level_arrays.get(key)
+        if levels is None:
+            levels = self._level_arrays[key] = np.asarray(
+                customer.tasks[index].power_levels
             )
-            jitter = jitter_rng.uniform(
-                0.0, 1e-6, size=(self.community.horizon, levels.size)
+        return _jitter_table(key, self.community.horizon, levels.size), levels
+
+    def _ce_setup(self, customer: Customer) -> _CeSetup:
+        """One customer's :class:`_CeSetup`, built on first use."""
+        setup = self._ce_setups.get(customer.customer_id)
+        if setup is None:
+            spec = customer.battery
+            clamp = dict(
+                initial=spec.initial_kwh,
+                capacity=spec.capacity_kwh,
+                max_charge=spec.max_charge_kw * self.slot_hours,
+                max_discharge=spec.max_discharge_kw * self.slot_hours,
             )
-            self._jitter_tables[key] = jitter
-            self._level_arrays[key] = levels
-        return jitter, self._level_arrays[key]
+            # Every game's standalone CE draws from a fresh
+            # default_rng(customer_id + 7919); restoring the seeded state
+            # restarts that stream without re-seeding.
+            rng = np.random.default_rng(customer.customer_id + 7919)
+            setup = self._ce_setups[customer.customer_id] = _CeSetup(
+                max(spec.capacity_kwh / 4.0, STD_FLOOR),
+                clamp,
+                rng,
+                rng.bit_generator.state,
+            )
+        return setup
 
     # ------------------------------------------------------------------
     # Initialization
@@ -200,6 +246,7 @@ class LockstepGameSolver:
                 backend=self.backend,
             )
         state.battery[:] = customer.battery.initial_kwh
+        state.projected = True
         return state
 
     # ------------------------------------------------------------------
@@ -214,6 +261,7 @@ class LockstepGameSolver:
         sell_rates: FloatArray,
         x0: FloatArray,
         multiplicity: int,
+        x0_costs: FloatArray | None = None,
     ) -> tuple[FloatArray, FloatArray]:
         """Batched CE over battery trajectories; one game per row.
 
@@ -222,21 +270,22 @@ class LockstepGameSolver:
         generator (a deterministic seed makes the CE step a function of
         its inputs, so the best-response map has fixed points the outer
         loop can reach).  Returns ``(best_x, best_f)``.
+
+        The search starts from ``x0`` clipped to the box, and its best
+        so far is that start projected and scored.  With ``x0_costs`` the
+        caller vouches that every row of ``x0`` is a projection output
+        and gives the rows' costs: clipping and projecting such a row
+        return its own bits (both are idempotent on their outputs), so
+        the start is ``x0`` itself and is neither projected nor scored
+        again.  The solver's own states are such rows; see
+        :class:`LockstepState`.
         """
-        spec = customer.battery
         cfg = self.config
         n_games, horizon = x0.shape
         backend = self.backend
-        lower = np.zeros(horizon)
-        upper = np.full(horizon, spec.capacity_kwh)
-        span = upper - lower
+        std0, clamp, rng, seeded = self._ce_setup(customer)
+        capacity = clamp["capacity"]
         pv = customer.pv_array
-        clamp = dict(
-            initial=spec.initial_kwh,
-            capacity=spec.capacity_kwh,
-            max_charge=spec.max_charge_kw * self.slot_hours,
-            max_discharge=spec.max_discharge_kw * self.slot_hours,
-        )
         # Per-game inputs, and the same with a population axis.
         flat = (load, others, buy_rates, sell_rates)
         grouped = tuple(v[:, None, :] for v in flat)
@@ -253,7 +302,7 @@ class LockstepGameSolver:
             load_r, others_r, buy_r, sell_r = (v[rows] for v in inputs)
             return backend.battery_costs(
                 decisions,
-                initial=spec.initial_kwh,
+                initial=customer.battery.initial_kwh,
                 load=load_r,
                 pv=pv,
                 others=others_r,
@@ -263,10 +312,14 @@ class LockstepGameSolver:
                 multiplicity=multiplicity,
             )
 
-        mean = np.clip(x0, lower, upper)
-        std = np.tile(np.maximum(span / 4.0, STD_FLOOR), (n_games, 1))
-        start = project(mean.copy())
-        start_scores = score(start, flat, slice(None))
+        if x0_costs is None:
+            mean = np.clip(x0, 0.0, capacity)
+            start = project(mean.copy())
+            start_scores = score(start, flat, slice(None))
+        else:
+            mean = np.array(x0)
+            start, start_scores = mean, x0_costs
+        std = np.full((n_games, horizon), std0)
         best_x = start.copy()
         best_f = np.where(np.isfinite(start_scores), start_scores, np.inf)
 
@@ -274,7 +327,7 @@ class LockstepGameSolver:
         # default_rng(customer_id + 7919), and every live game draws one
         # (K, H) block per iteration, so all their streams are one stream:
         # one generator serves them all.
-        rng = np.random.default_rng(customer.customer_id + 7919)  # repro: noqa[SEED003]
+        rng.bit_generator.state = seeded
         n_iterations = np.zeros(n_games, dtype=int)
         alive = alive_index = np.arange(n_games)
         span_id = TRACER.begin(
@@ -296,26 +349,25 @@ class LockstepGameSolver:
             z = rng.standard_normal((cfg.ce_samples, horizon))
             samples = np.multiply(std[rows][:, None, :], z)
             samples += mean[rows][:, None, :]
-            np.clip(samples, lower, upper, out=samples)
+            samples.clip(0.0, capacity, out=samples)
             samples = project(samples)
             scores = score(samples, grouped, rows)
             PERF.add("ce.evaluations", cfg.ce_samples * alive.size)
             scores = np.where(np.isfinite(scores), scores, np.inf)
 
-            elite_idx = np.argsort(scores, axis=1)[:, : cfg.ce_elites]
+            elite_idx = scores.argsort(axis=1)[:, : cfg.ce_elites]
             elites = samples[alive_index[:, None], elite_idx]
             first = elite_idx[:, 0]
             first_scores = scores[alive_index, first]
-            better = np.flatnonzero(first_scores < best_f[rows])
+            better = (first_scores < best_f[rows]).nonzero()[0]
             if better.size:
                 best_f[alive[better]] = first_scores[better]
                 best_x[alive[better]] = samples[better, first[better]]
 
-            new_mean = elites.mean(axis=1)
-            new_std = elites.std(axis=1)
+            new_mean, new_std = elite_statistics(elites, axis=1)
             mean[rows] = cfg.ce_smoothing * new_mean + (1 - cfg.ce_smoothing) * mean[rows]
             std[rows] = cfg.ce_smoothing * new_std + (1 - cfg.ce_smoothing) * std[rows]
-            done = np.all(std[rows] < STD_FLOOR, axis=1)
+            done = np.logical_and.reduce(std[rows] < STD_FLOOR, axis=1)
             if done.any():
                 n_iterations[alive[done]] = iteration
                 alive = alive[~done]
@@ -398,9 +450,8 @@ class LockstepGameSolver:
             # move's own marginal cost is near zero (flat cost valleys
             # created by battery arbitrage), which is exactly where
             # best-response cycling lives.
-            per_slot = cost_terms(trading, others, **pricing)
-            reference = np.abs(per_slot.sum(axis=1)) + 1e-9
-            threshold = threshold_rate * reference
+            costs: FloatArray | None = cost_terms(trading, others, **pricing).sum(axis=1)
+            threshold = threshold_rate * (np.abs(costs) + 1e-9)
             # Line 4: appliance schedules via DP, one task at a time.
             for index, task in enumerate(customer.tasks):
                 # Deterministic per-(customer, task) jitter breaks cost
@@ -419,12 +470,18 @@ class LockstepGameSolver:
                     task, tables, slot_hours=self.slot_hours, backend=self.backend
                 )
                 improvements = self._schedule_costs(tables, levels, power) - optimal_costs
-                accepted = np.flatnonzero(improvements > threshold)
+                accepted = (improvements > threshold).nonzero()[0]
                 if accepted.size:
                     state.power[rows[accepted], index, :] = powers[accepted]
                     trading = state.tradings(rows)
+                    costs = None
             # Line 5: battery trajectory via cross-entropy optimization.
             if customer.battery.capacity_kwh > 0:
+                # The bill of the current strategy, which is also the CE
+                # start's score: the same trading priced by the same
+                # formula (the kernels are bitwise cost_terms).
+                if costs is None:
+                    costs = cost_terms(trading, others, **pricing).sum(axis=1)
                 best_x, best_f = self._ce_battery(
                     customer,
                     state.loads(rows),
@@ -433,11 +490,11 @@ class LockstepGameSolver:
                     sell,
                     state.battery[rows],
                     multiplicity,
+                    costs if state.projected else None,
                 )
-                current_costs = cost_terms(trading, others, **pricing).sum(axis=1)
                 # Accept only clear improvements: chasing CE sampling
                 # noise keeps the outer loop from converging.
-                accepted = np.flatnonzero(current_costs - best_f > threshold)
+                accepted = (costs - best_f > threshold).nonzero()[0]
                 if accepted.size:
                     state.battery[rows[accepted]] = best_x[accepted]
                     trading = state.tradings(rows)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -55,15 +55,25 @@ def _build_cost_table(
     return table
 
 
-@lru_cache(maxsize=4096)
-def _task_units(
-    task: ApplianceTask, horizon: int, *, slot_hours: float
-) -> tuple[NDArray[np.int_], int, NDArray[np.bool_]]:
-    """Shared DP setup: level units, required units and the window mask.
+class _TaskUnits(NamedTuple):
+    """A task's DP set-up, a pure function of ``(task, horizon,
+    slot_hours)``: the arrays the kernel reads, and the level units and
+    window slots as tuples of ints for the backtrack."""
 
-    Checks the task's feasibility first.  All of it is a pure function of
-    ``(task, horizon, slot_hours)``, so it runs once per distinct task
-    and the arrays come back read-only.
+    level_units: NDArray[np.int_]
+    required_units: int
+    mask: NDArray[np.bool_]
+    units: tuple[int, ...]
+    slots: tuple[int, ...]
+
+
+@lru_cache(maxsize=4096)
+def _task_units(task: ApplianceTask, horizon: int, slot_hours: float) -> _TaskUnits:
+    """Shared DP set-up: level units, required units, the window mask,
+    and the level units and window slots as tuples.
+
+    Checks the task's feasibility first.  It runs once per distinct
+    ``(task, horizon, slot_hours)``; the arrays come back read-only.
     """
     task.check_feasible(horizon, slot_hours=slot_hours)
     unit = task.energy_unit(slot_hours=slot_hours)
@@ -73,22 +83,28 @@ def _task_units(
     required_units = round(task.energy_kwh / unit)
     mask = task.window_mask(horizon)
     level_units.flags.writeable = mask.flags.writeable = False
-    return level_units, required_units, mask
+    return _TaskUnits(
+        level_units,
+        required_units,
+        mask,
+        tuple(level_units.tolist()),
+        tuple(np.flatnonzero(mask).tolist()),
+    )
 
 
 def _backtrack(
     task: ApplianceTask,
     choice: NDArray[np.int16],
-    level_units: list[int],
+    level_units: tuple[int, ...],
     required_units: int,
-    slots: list[int],
+    slots: tuple[int, ...],
     power: NDArray[np.float64],
 ) -> None:
     """Write the optimal power assignment recovered from the DP choice
     table into ``power``; ``slots`` are the window's slots, in order."""
     remaining = required_units
     for h in slots:
-        j = int(choice[h, remaining])
+        j = choice.item(h, remaining)
         power[h] = task.power_levels[j]
         remaining -= level_units[j]
     if remaining != 0:
@@ -106,8 +122,8 @@ def _schedule_tables(
     """Power schedules ``(G, H)`` and optimal costs for a ``(G, H, L)``
     stack of tables, plus the DP's number of energy states."""
     n_games, horizon, _ = cost_tables.shape
-    level_units, required_units, mask = _task_units(
-        task, horizon, slot_hours=slot_hours
+    level_units, required_units, mask, units, slots = _task_units(
+        task, horizon, slot_hours
     )
     kernel = get_backend(backend)
     # values[g, r] = minimal cost to consume exactly r units from slot 0 on;
@@ -116,18 +132,18 @@ def _schedule_tables(
     values, choices = kernel.dp_backward_batch(
         cost_tables, level_units, n_states, mask
     )
-    if not np.all(np.isfinite(values[:, required_units])):
+    optimal_costs = values[:, required_units].copy()
+    if not np.isfinite(optimal_costs).all():
         raise InfeasibleTaskError(
             f"{task.name}: no feasible schedule for {task.energy_kwh} kWh "
             f"in window [{task.earliest_start}, {task.deadline}]"
         )
 
     powers = np.zeros((n_games, horizon))
-    units, slots = level_units.tolist(), np.flatnonzero(mask).tolist()
     for g in range(n_games):
         _backtrack(task, choices[g], units, required_units, slots, powers[g])
     PERF.add("dp.cells", n_states * horizon * n_games)
-    return powers, values[:, required_units].copy(), n_states
+    return powers, optimal_costs, n_states
 
 
 @TRACER.traced("dp.solve", category="scheduling")

@@ -21,6 +21,7 @@ from repro.kernels import available_backends
 from repro.netmetering.cost import NetMeteringCostModel
 from repro.optimization.battery import BatteryOptimizer, BatteryProblem
 from repro.scheduling.batch import solve_games
+from repro.scheduling.customer import CustomerState
 from repro.scheduling.game import Community, GameResult, SchedulingGame
 from repro.tariffs import NAMED_TARIFFS
 from tests.conftest import HORIZON, make_customer
@@ -291,23 +292,117 @@ class TestCeMatchesStandalone:
     @pytest.mark.parametrize("tariff_name", ["flat", "tou", "spread_capped"])
     @pytest.mark.parametrize("n_games", [1, 3])
     def test_rows_equal_battery_optimizer(self, community, tariff_name, n_games):
+        """A caller's start: in the box but past the rate limits, so the
+        step projects and scores it."""
+        self._check(community, tariff_name, n_games, projected_start=False)
+
+    @pytest.mark.parametrize("tariff_name", ["flat", "tou", "spread_capped"])
+    @pytest.mark.parametrize("n_games", [1, 3])
+    def test_projected_start_rows_equal_battery_optimizer(
+        self, community, tariff_name, n_games
+    ):
+        """The solver's own start: a projection output handed over with
+        its costs (``x0_costs``), which the step takes as it is."""
+        self._check(community, tariff_name, n_games, projected_start=True)
+
+    @pytest.mark.parametrize("tariff_name", ["flat", "tou", "spread_capped"])
+    @pytest.mark.parametrize("n_games", [1, 3])
+    def test_kept_start_equals_battery_optimizer(
+        self, community, tariff_name, n_games
+    ):
+        """A start good enough to keep, against a two-sample search: a
+        searched trajectory with two slots pushed past the rate limits (a
+        caller's), and its projection with its costs (the solver's own).
+        Both CEs keep the projection, at the same score."""
+        solver, customer, load, others, x0, _ = self._inputs(
+            community, tariff_name, n_games, self.CONFIG
+        )
+        start, _ = solver._ce_battery(
+            customer, load, others, solver.buy_rates, solver.sell_rates, x0, 2
+        )
+        start[:, 3] = customer.battery.capacity_kwh
+        start[:, 4] = 0.0
+        tiny = GameConfig(ce_samples=2, ce_elites=1, ce_iterations=1)
+        solver, *_, projected = self._inputs(
+            community, tariff_name, n_games, tiny, x0=start
+        )
+        projected_costs = self._costs(solver, customer, load, others, projected)
+        for x0, x0_costs in ((start, None), (projected, projected_costs)):
+            best_x, best_f = solver._ce_battery(
+                customer,
+                load,
+                others,
+                solver.buy_rates,
+                solver.sell_rates,
+                x0,
+                2,
+                x0_costs,
+            )
+            kept = 0
+            for g in range(n_games):
+                result = self._optimize_alone(
+                    solver.cost_models[g], customer, load[g], others[g], x0[g], tiny
+                )
+                assert best_x[g].tobytes() == result.x.tobytes()
+                assert best_f[g] == result.fun
+                kept += best_x[g].tobytes() == projected[g].tobytes()
+            assert kept
+
+    def _inputs(self, community, tariff_name, n_games, config, x0=None):
+        """A solver, the battery customer, per-game load and others, a
+        start (random in the box unless given) and its projection, which
+        must differ from it."""
         from repro.scheduling.batch import LockstepGameSolver
 
-        tariff = NAMED_TARIFFS[tariff_name]
         solver = LockstepGameSolver(
             community,
             _prices(n_games),
             sellback_divisor=1.5,
-            config=self.CONFIG,
-            tariff=tariff,
+            config=config,
+            tariff=NAMED_TARIFFS[tariff_name],
         )
         customer = community.customers[1]
         rng = np.random.default_rng(8)
         load = customer.base_load_array + rng.uniform(0.0, 1.0, (n_games, HORIZON))
         others = rng.uniform(-1.0, 6.0, (n_games, HORIZON))
-        x0 = rng.uniform(0.0, customer.battery.capacity_kwh, (n_games, HORIZON))
+        spec = customer.battery
+        if x0 is None:
+            x0 = rng.uniform(0.0, spec.capacity_kwh, (n_games, HORIZON))
+        projected = solver.backend.clamp_decisions(
+            x0,
+            initial=spec.initial_kwh,
+            capacity=spec.capacity_kwh,
+            max_charge=spec.max_charge_kw,
+            max_discharge=spec.max_discharge_kw,
+        )
+        assert projected.tobytes() != x0.tobytes()
+        return solver, customer, load, others, x0, projected
+
+    @staticmethod
+    def _costs(solver, customer, load, others, x0):
+        """The per-game bills of battery trajectories ``x0``."""
+        return solver.backend.battery_costs(
+            x0,
+            initial=customer.battery.initial_kwh,
+            load=load,
+            pv=customer.pv_array,
+            others=others,
+            buy_rates=solver.buy_rates,
+            sell_rates=solver.sell_rates,
+            export_cap_kwh=solver.export_cap_kwh,
+            multiplicity=2,
+        )
+
+    def _check(self, community, tariff_name, n_games, projected_start):
+        solver, customer, load, others, x0, projected = self._inputs(
+            community, tariff_name, n_games, self.CONFIG
+        )
+        x0_costs = None
+        if projected_start:
+            x0 = projected
+            x0_costs = self._costs(solver, customer, load, others, x0)
         best_x, best_f = solver._ce_battery(
-            customer, load, others, solver.buy_rates, solver.sell_rates, x0, 2
+            customer, load, others, solver.buy_rates, solver.sell_rates, x0, 2, x0_costs
         )
         iterations = set()
         for g in range(n_games):
@@ -320,9 +415,10 @@ class TestCeMatchesStandalone:
         # The batch is only a real test if games leave it at different times.
         assert n_games == 1 or len(iterations) > 1
 
-    def _optimize_alone(self, cost_model, customer, load, others, x0):
+    def _optimize_alone(self, cost_model, customer, load, others, x0, config=None):
         """One game's CE step through the standalone optimizer, on the
         per-customer generator the game solver seeds."""
+        config = config or self.CONFIG
         problem = BatteryProblem(
             load=tuple(load),
             pv=customer.pv,
@@ -332,10 +428,155 @@ class TestCeMatchesStandalone:
             multiplicity=2,
         )
         return BatteryOptimizer(
-            n_samples=self.CONFIG.ce_samples,
-            n_elites=self.CONFIG.ce_elites,
-            n_iterations=self.CONFIG.ce_iterations,
-            smoothing=self.CONFIG.ce_smoothing,
+            n_samples=config.ce_samples,
+            n_elites=config.ce_elites,
+            n_iterations=config.ce_iterations,
+            smoothing=config.ce_smoothing,
         ).optimize(
             problem, x0=x0, rng=np.random.default_rng(customer.customer_id + 7919)
         )
+
+
+class TestCeStart:
+    """Each CE step starts from the customer's current battery trajectory.
+
+    The solver's own trajectories are projection outputs: the flat one
+    at the initial charge, or a CE best that was accepted.  Projecting
+    one again gives the same bits, so the step takes it as it is.  A
+    caller's state (``SchedulingGame.best_response``) may leave the box
+    or break a rate limit; its start is projected.
+    """
+
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_smoke_solve_starts_are_fixed_points(self, backend, monkeypatch):
+        """Every start a smoke solve hands the CE step is a bitwise fixed
+        point of the clamp, and the bill it comes with is the backend's
+        cost of that start."""
+        from repro.core.presets import smoke_preset
+        from repro.data.community import build_community
+        from repro.kernels import get_backend
+        from repro.scheduling.batch import LockstepGameSolver
+
+        config = smoke_preset()
+        community = build_community(config)
+        starts = []
+        ce_battery = LockstepGameSolver._ce_battery
+
+        def spy(self, customer, load, others, buy, sell, x0, multiplicity, x0_costs=None):
+            starts.append(
+                (customer, load, others, buy, sell, x0.copy(), multiplicity, x0_costs)
+            )
+            return ce_battery(
+                self, customer, load, others, buy, sell, x0, multiplicity, x0_costs
+            )
+
+        monkeypatch.setattr(LockstepGameSolver, "_ce_battery", spy)
+        hours = np.arange(HORIZON)
+        prices = 0.02 + 0.03 * np.exp(-(((hours - 18) / 3.0) ** 2))
+        prices[10:14] = 0.0  # an attack's free window
+        solve_games(community, [prices], config=config.game, seed=3, backend=backend)
+        # Both kinds of start: the flat initial one and accepted moves.
+        assert not all(np.ptp(start[5]) for start in starts)
+        assert any(np.ptp(start[5]) for start in starts)
+        kernel = get_backend(backend)
+        for customer, load, others, buy, sell, x0, multiplicity, x0_costs in starts:
+            spec = customer.battery
+            projected = kernel.clamp_decisions(
+                x0,
+                initial=spec.initial_kwh,
+                capacity=spec.capacity_kwh,
+                max_charge=spec.max_charge_kw,
+                max_discharge=spec.max_discharge_kw,
+            )
+            assert projected.tobytes() == x0.tobytes()
+            assert np.clip(x0, 0.0, spec.capacity_kwh).tobytes() == x0.tobytes()
+            costs = kernel.battery_costs(
+                x0,
+                initial=spec.initial_kwh,
+                load=load,
+                pv=customer.pv_array,
+                others=others,
+                buy_rates=buy,
+                sell_rates=sell,
+                export_cap_kwh=None,
+                multiplicity=multiplicity,
+            )
+            assert x0_costs is not None
+            assert np.asarray(costs).tobytes() == x0_costs.tobytes()
+
+
+SEARCH = GameConfig(inner_iterations=2, ce_samples=12, ce_elites=3, ce_iterations=3)
+# So few samples that a good start beats every one of them.
+TINY = GameConfig(inner_iterations=2, ce_samples=2, ce_elites=1, ce_iterations=1)
+
+
+def _infeasible_responses(community: Community, backend: str | None):
+    """Best responses of the battery customer from made-up trajectories:
+    out of the box, past both rate limits, and a good trajectory with two
+    slots broken.  Returns ``[(input battery, response)]``."""
+    prices = _prices(1)[0]
+    customer = community.customers[1]
+    others = np.random.default_rng(4).uniform(0.0, 6.0, HORIZON)
+    game = SchedulingGame(
+        community, prices, sellback_divisor=1.5, config=SEARCH, backend=backend
+    )
+    schedules = game.initial_state(customer).schedules
+
+    def respond(game, battery, schedules):
+        state = CustomerState(
+            customer=customer, schedules=schedules, battery_decision=tuple(battery)
+        )
+        return game.best_response(
+            state, others, np.random.default_rng(0), multiplicity=2
+        )
+
+    cases = []
+    for battery in (
+        np.resize([-0.5, 2.5, 0.0, 2.0, 1.0], HORIZON),
+        np.resize([1.9, 0.1], HORIZON),
+    ):
+        cases.append((battery, respond(game, battery, schedules)))
+    good = cases[-1][1]
+    for _ in range(5):
+        good = respond(game, good.battery_decision, good.schedules)
+    broken = np.array(good.battery_decision)
+    broken[5], broken[11] = 2.5, -0.2
+    tiny = SchedulingGame(
+        community, prices, sellback_divisor=1.5, config=TINY, backend=backend
+    )
+    cases.append((broken, respond(tiny, broken, good.schedules)))
+    return cases
+
+
+# SHA-256 of the three responses of ``_infeasible_responses``: battery
+# decisions and schedule powers.  Both backends share it.
+INFEASIBLE_RESPONSE_DIGEST = (
+    "da901aa3cc69ff5eff78fe42f111a6e98382395d75f8d2385d6aa80af5c22789"
+)
+
+
+class TestInfeasibleCallerState:
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_digest(self, community, backend):
+        arrays = []
+        for _, response in _infeasible_responses(community, backend):
+            arrays.append(response.battery_decision)
+            arrays += [schedule.power for schedule in response.schedules]
+        assert _sha256(*arrays) == INFEASIBLE_RESPONSE_DIGEST
+
+    def test_winning_start_is_the_projection(self, community):
+        """With a near-optimal but broken trajectory the start beats every
+        sample, and the accepted move is the start projected."""
+        from repro.kernels import get_backend
+
+        battery, response = _infeasible_responses(community, None)[-1]
+        spec = community.customers[1].battery
+        projected = get_backend(None).clamp_decisions(
+            np.clip(battery, 0.0, spec.capacity_kwh),
+            initial=spec.initial_kwh,
+            capacity=spec.capacity_kwh,
+            max_charge=spec.max_charge_kw,
+            max_discharge=spec.max_discharge_kw,
+        )
+        assert np.asarray(response.battery_decision).tobytes() == projected.tobytes()
+        assert projected.tobytes() != battery.tobytes()

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.optimization.cross_entropy import (
     CrossEntropyOptimizer,
     OptimizationResult,
+    elite_statistics,
     minimize_ce,
 )
 
@@ -164,3 +165,26 @@ class TestResultContract:
         a, b = run(), run()
         np.testing.assert_array_equal(a.x, b.x)
         assert a.fun == b.fun
+
+
+class TestEliteStatistics:
+    """The refit's mean and std are numpy's, bit for bit, in both CE
+    implementations' layouts: ``(elites, d)`` and ``(games, elites, H)``."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.sampled_from(
+            [(1, 24), (4, 24), (10, 40), (1, 4, 24), (34, 4, 24), (3, 10, 40)]
+        ),
+        scale=st.sampled_from([1e-9, 1.0, 1e6]),
+        rounded=st.booleans(),
+    )
+    def test_equals_numpy_mean_and_std(self, seed, shape, scale, rounded):
+        elites = np.random.default_rng(seed).normal(size=shape) * scale
+        if rounded:  # ties and exact zeros
+            elites = np.round(elites / scale, 1) * scale
+        axis = len(shape) - 2
+        mean, std = elite_statistics(elites, axis=axis)
+        assert mean.tobytes() == elites.mean(axis=axis).tobytes()
+        assert std.tobytes() == elites.std(axis=axis).tobytes()

@@ -22,6 +22,7 @@ from repro.kernels import (
     available_backends,
     get_backend,
 )
+from repro.kernels.fused import _SWEEP_MAX_ROWS, _sweep_clamp
 from repro.netmetering.battery import clamp_trajectory_batch
 from repro.netmetering.cost import NetMeteringCostModel
 from repro.optimization.battery import BatteryProblem
@@ -45,11 +46,64 @@ SPECS = [
 ]
 
 
+# A battery that can neither charge nor discharge: every projection
+# output is the flat trajectory at the initial charge.
+ZERO_RATES = BatteryConfig(
+    capacity_kwh=2.0, initial_kwh=0.5, max_charge_kw=0.0, max_discharge_kw=0.0
+)
+
+
 def _population(spec: BatteryConfig, shape: tuple[int, ...], seed: int) -> np.ndarray:
     """A CE-style population: finite and clipped to the battery box."""
     rng = np.random.default_rng(seed)
     raw = rng.uniform(-1.0, spec.capacity_kwh + 1.0, size=shape + (HORIZON,))
     return np.clip(raw, 0.0, spec.capacity_kwh)
+
+
+def _clamp_kwargs(spec: BatteryConfig) -> dict:
+    return dict(
+        initial=spec.initial_kwh,
+        capacity=spec.capacity_kwh,
+        max_charge=spec.max_charge_kw,
+        max_discharge=spec.max_discharge_kw,
+    )
+
+
+def _edge_rows(spec: BatteryConfig) -> np.ndarray:
+    """Rows on the projection's bounds: 0, the capacity, a charge from
+    the initial level at exactly ``prev + rate`` up to the capacity and a
+    discharge at exactly ``prev - rate`` down to 0, and signed zeros."""
+    cap, up, down = spec.capacity_kwh, spec.max_charge_kw, spec.max_discharge_kw
+    charge, discharge = [spec.initial_kwh], [spec.initial_kwh]
+    for _ in range(HORIZON):
+        charge.append(min(charge[-1] + up, cap))
+        discharge.append(max(discharge[-1] - down, 0.0))
+    alternating = np.resize([0.0, -0.0, cap], HORIZON)
+    return np.array(
+        [
+            np.zeros(HORIZON),
+            np.full(HORIZON, -0.0),
+            np.full(HORIZON, cap),
+            charge[1:],
+            discharge[1:],
+            alternating,
+            np.resize([-0.0, cap], HORIZON),
+        ]
+    )
+
+
+def _saw_tooth(n_rows: int) -> tuple[BatteryConfig, np.ndarray]:
+    """Rows alternating between full and empty under slow rates, so the
+    projection binds at every slot and its chain spans the horizon."""
+    spec = BatteryConfig(
+        capacity_kwh=2.0, initial_kwh=1.0, max_charge_kw=0.1, max_discharge_kw=0.15
+    )
+    # The trajectory stays within 0.4-1.1 kWh, so every high value in
+    # [1.5, 2] and every low one in [0, 0.5] binds; rows alternate phase.
+    high = np.linspace(1.5, spec.capacity_kwh, n_rows)[:, None]
+    low = np.linspace(0.0, 0.5, n_rows)[:, None]
+    phase = (np.arange(n_rows)[:, None] + np.arange(HORIZON)[None, :]) % 2
+    return spec, np.where(phase == 0, high, low)
 
 
 @pytest.fixture(params=available_backends())
@@ -85,21 +139,22 @@ class TestRegistry:
 
 
 class TestClampDecisions:
-    @pytest.mark.parametrize("spec", SPECS)
-    @pytest.mark.parametrize("shape", [(48,), (5, 48), (3, 16)])
+    @pytest.mark.parametrize("spec", SPECS + [ZERO_RATES])
+    @pytest.mark.parametrize(
+        "shape",
+        [(48,), (5, 48), (3, 16), (16, 1), (40, 2), (64, 3), (65, 4), (544, 5)],
+    )
     def test_matches_reference_bitwise(self, backend, spec, shape):
+        """Populations of any size: one-game CE steps (16 and 40 rows),
+        lockstep batches (544), and both sides of the fused clamp's
+        64-row switch.  The last entry of ``shape`` seeds the draw."""
         decisions = _population(spec, shape[:-1], seed=shape[-1])[
             ..., : HORIZON
         ]
-        kwargs = dict(
-            initial=spec.initial_kwh,
-            capacity=spec.capacity_kwh,
-            max_charge=spec.max_charge_kw,
-            max_discharge=spec.max_discharge_kw,
-        )
+        kwargs = _clamp_kwargs(spec)
         ours = backend.clamp_decisions(decisions.copy(), **kwargs)
         ref = REFERENCE.clamp_decisions(decisions.copy(), **kwargs)
-        np.testing.assert_array_equal(ours, ref)
+        assert ours.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("spec", SPECS)
     def test_matches_historical_clamp(self, backend, spec):
@@ -118,17 +173,73 @@ class TestClampDecisions:
         np.testing.assert_array_equal(ours, historical)
 
     def test_projection_is_idempotent(self, backend):
+        """A projection output is a bitwise fixed point: the game solver
+        starts each CE step from one without projecting it again."""
+        for spec in SPECS + [ZERO_RATES]:
+            decisions = np.vstack(
+                [_population(spec, (16,), seed=3), _edge_rows(spec)]
+            )
+            kwargs = _clamp_kwargs(spec)
+            once = backend.clamp_decisions(decisions, **kwargs)
+            twice = backend.clamp_decisions(once.copy(), **kwargs)
+            assert twice.tobytes() == once.tobytes()
+            # The CE start clips before projecting: a no-op on an output.
+            clipped = np.clip(once, 0.0, spec.capacity_kwh)
+            assert clipped.tobytes() == once.tobytes()
+
+    def test_edge_rows_reach_every_bound(self):
+        """The idempotence inputs sit on 0, the capacity and both rate
+        bounds, and carry both zeros."""
         spec = SPECS[0]
-        decisions = _population(spec, (16,), seed=3)
-        kwargs = dict(
-            initial=spec.initial_kwh,
-            capacity=spec.capacity_kwh,
-            max_charge=spec.max_charge_kw,
-            max_discharge=spec.max_discharge_kw,
+        rows = _edge_rows(spec)
+        once = REFERENCE.clamp_decisions(rows, **_clamp_kwargs(spec))
+        full = np.hstack([np.full((rows.shape[0], 1), spec.initial_kwh), once])
+        step = np.diff(full, axis=1)
+        assert not once.all() and np.any(once == spec.capacity_kwh)
+        assert np.any(step == spec.max_charge_kw)
+        assert np.any(step == -spec.max_discharge_kw)
+        negative_zero = np.signbit(rows) & (rows >= 0.0)
+        assert np.any(negative_zero)
+
+    @pytest.mark.parametrize("n_rows", [1, 16, 40, 65, 544])
+    def test_saw_tooth_needs_every_sweep(self, n_rows):
+        """A chain that binds a rate limit at every slot: the fused clamp
+        still equals the reference, and its sweeps, which fix one more
+        slot each, take all ``H`` plus the one that changes nothing."""
+        spec, rows = _saw_tooth(n_rows)
+        kwargs = _clamp_kwargs(spec)
+        ref = REFERENCE.clamp_decisions(rows.copy(), **kwargs)
+        full = np.hstack([np.full((n_rows, 1), spec.initial_kwh), ref])
+        assert np.all(np.abs(np.diff(full, axis=1)) > 0.0)
+        fused = get_backend("fused").clamp_decisions(rows.copy(), **kwargs)
+        assert fused.tobytes() == ref.tobytes()
+        swept, sweeps = _sweep_clamp(
+            rows, spec.initial_kwh, spec.max_charge_kw, spec.max_discharge_kw
         )
-        once = backend.clamp_decisions(decisions, **kwargs)
-        twice = backend.clamp_decisions(once.copy(), **kwargs)
-        np.testing.assert_array_equal(once, twice)
+        assert swept.tobytes() == ref.tobytes()
+        assert sweeps == HORIZON + 1
+
+    @pytest.mark.parametrize("n_rows", [1, 16, 65])
+    def test_sweeps_match_slot_steps_on_any_input(self, n_rows):
+        """The two ways of the fused clamp agree bit for bit beyond the
+        pipeline's inputs too: signed zeros, values outside the box,
+        infinities and NaN, on a battery with zero rates as well."""
+        rng = np.random.default_rng(n_rows)
+        rows = rng.choice(
+            [0.0, -0.0, 0.5, 2.0, -1.0, 3.0, np.inf, -np.inf, np.nan],
+            size=(n_rows, HORIZON),
+        )
+        fused = get_backend("fused")
+        for spec in SPECS + [ZERO_RATES]:
+            swept, sweeps = _sweep_clamp(
+                rows, spec.initial_kwh, spec.max_charge_kw, spec.max_discharge_kw
+            )
+            # A population above the switch steps slot by slot.
+            stacked = np.vstack([rows] * (_SWEEP_MAX_ROWS // n_rows + 1))
+            stepped = fused.clamp_decisions(stacked, **_clamp_kwargs(spec))
+            assert stepped.shape[0] > _SWEEP_MAX_ROWS
+            assert swept.tobytes() == stepped[:n_rows].tobytes()
+            assert sweeps <= HORIZON + 1
 
 
 # Cost models whose rates exercise the sell branch's sign and the
@@ -263,8 +374,8 @@ class TestApplianceDp:
         """One game's table through the batch kernel, against the
         reference recursion."""
         tables = self._table(simple_task, 1, seed=21)
-        level_units, required_units, mask = _task_units(
-            simple_task, HORIZON, slot_hours=1.0
+        level_units, required_units, mask, _, _ = _task_units(
+            simple_task, HORIZON, 1.0
         )
         n_states = required_units + 1
         values, choices = backend.dp_backward_batch(
@@ -278,8 +389,8 @@ class TestApplianceDp:
 
     def test_dp_backward_batch_rows_match_single(self, backend, simple_task):
         tables = self._table(simple_task, 4, seed=22)
-        level_units, required_units, mask = _task_units(
-            simple_task, HORIZON, slot_hours=1.0
+        level_units, required_units, mask, _, _ = _task_units(
+            simple_task, HORIZON, 1.0
         )
         n_states = required_units + 1
         values, choices = backend.dp_backward_batch(
