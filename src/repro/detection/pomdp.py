@@ -22,7 +22,14 @@ The decision problem ``<S, O, A, T, R, Omega>``:
 
 from __future__ import annotations
 
+import _imp
+import importlib.machinery
+import os
+import sys
+import types
 from dataclasses import dataclass
+from functools import cache
+from typing import Any
 
 import numpy as np
 from numpy.typing import NDArray
@@ -112,6 +119,75 @@ def _snap_probability(p: float) -> float:
     return p
 
 
+def _bare_binom_pmf() -> Any | None:
+    """``_binom_pmf`` from ``scipy.special._ufuncs``, imported without
+    running the ``scipy.special`` package ``__init__``; ``None`` if that
+    fails, with no ``scipy.special`` module left in ``sys.modules``.
+
+    A bare package module stands in for ``scipy.special`` while the
+    extension loads, so the package's array-API layer (and the
+    ``numpy.testing`` and ``numpy.f2py`` it pulls in) never runs.  The
+    extension and the sibling extensions it imports stay registered
+    under their real names, so a later ``import scipy.special`` runs the
+    real ``__init__`` on top of them and binds the same ufunc object.
+    """
+    try:
+        import scipy
+    except ImportError:
+        return None
+    bare = types.ModuleType("scipy.special")
+    bare.__path__ = [os.path.join(path, "special") for path in scipy.__path__]
+    # Marked mid-import, as the import system marks a module it is
+    # loading, so that another thread's import of scipy.special waits on
+    # the import lock held below instead of returning the bare module.
+    bare.__spec__ = importlib.machinery.ModuleSpec("scipy.special", None, is_package=True)
+    bare.__spec__._initializing = True  # type: ignore[attr-defined]
+    known = set(sys.modules)
+    _imp.acquire_lock()
+    try:
+        if "scipy.special" in sys.modules:  # another thread imported it
+            return None
+        sys.modules["scipy.special"] = bare
+        try:
+            from scipy.special._ufuncs import _binom_pmf
+        except Exception:
+            # Drop whatever the attempt registered, so that the public
+            # import starts clean.
+            for name in [m for m in sys.modules if m not in known]:
+                if name.startswith("scipy.special."):
+                    del sys.modules[name]
+            return None
+        finally:
+            if sys.modules.get("scipy.special") is bare:
+                del sys.modules["scipy.special"]
+    finally:
+        _imp.release_lock()
+    return _binom_pmf
+
+
+@cache
+def _binom_pmf_ufunc() -> Any | None:
+    """SciPy's private ufunc ``_binom_pmf``, loaded once per process, or
+    ``None`` where it cannot be imported (the binomials then come from
+    ``scipy.stats``).
+
+    A process that has not imported ``scipy.special`` loads the ufunc
+    through :func:`_bare_binom_pmf`, which costs a tenth of the package
+    import in time and a fifth in memory (docs/PERFORMANCE.md, "Start-up
+    and resident memory").  A process that has, or one where the bare
+    load fails, imports it publicly.
+    """
+    if "scipy.special" not in sys.modules:
+        ufunc = _bare_binom_pmf()
+        if ufunc is not None:
+            return ufunc
+    try:
+        from scipy.special._ufuncs import _binom_pmf
+    except ImportError:
+        return None
+    return _binom_pmf
+
+
 def _binomial_pmf(n: int, p: float) -> NDArray[np.float64]:
     """``Binom(n, p)`` probabilities of ``0..n``, bit for bit
     ``scipy.stats.binom.pmf(arange(n + 1), n, p)``.
@@ -119,20 +195,20 @@ def _binomial_pmf(n: int, p: float) -> NDArray[np.float64]:
     That function evaluates Boost's binomial PMF through the private
     ufunc ``scipy.special._ufuncs._binom_pmf`` and clips the result to
     [0, 1].  Calling the ufunc directly keeps those bits without
-    importing ``scipy.stats``, the largest import of a cold process
-    (docs/PERFORMANCE.md, "Start-up and resident memory"); a
-    hand-written ``comb(n, k) p^k (1-p)^(n-k)`` would move bits.  SciPy
-    is imported here, at the first POMDP build, never at module import,
-    and a SciPy without the private ufunc falls back to ``scipy.stats``.
+    importing ``scipy.stats``, the largest import of a cold process; a
+    hand-written ``comb(n, k) p^k (1-p)^(n-k)`` would move bits.  The
+    ufunc is loaded at the first POMDP build, never at module import,
+    and without ``scipy.special``'s package ``__init__`` where the
+    process has not imported it yet (:func:`_binom_pmf_ufunc`).  A SciPy
+    without the private ufunc falls back to ``scipy.stats``.
     """
     k = np.arange(n + 1)
-    try:
-        from scipy.special._ufuncs import _binom_pmf
-    except ImportError:  # the ufunc is private: fall back to the public API
+    ufunc = _binom_pmf_ufunc()
+    if ufunc is None:  # the ufunc is private: fall back to the public API
         from scipy import stats
 
         return stats.binom.pmf(k, n, p)
-    return np.clip(_binom_pmf(k, n, p), 0, 1)
+    return np.clip(ufunc(k, n, p), 0, 1)
 
 
 def _flag_count_pmf(

@@ -12,8 +12,10 @@ verbatim, inheriting its bitwise resume guarantee.
 Every file is written atomically (temp + rename) and the manifest is
 written *last*: a crash mid-save leaves either a complete new
 checkpoint or a complete old one, never a torn mix that loads.
-Damage — missing files, bad JSON, wrong markers, assignment drift — is
-reported as :class:`repro.stream.checkpoint.CheckpointError`.
+Damage — missing files, bad JSON, wrong markers, assignment drift,
+sections of the wrong type, community payloads that do not resume — is
+reported as :class:`repro.stream.checkpoint.CheckpointError`, chained
+to the failure it caused, and no fleet is returned.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ from repro.simulation.cache import GameSolutionCache
 from repro.stream.checkpoint import (
     CheckpointError,
     checkpoint_payload,
+    read_json_object,
+    refused_as_damage,
     resume_engine,
 )
 
@@ -84,24 +88,10 @@ def save_fleet_checkpoint(fleet: "FleetEngine", directory: str | Path) -> Path:
     return manifest_path
 
 
-def _load_json(path: Path, *, what: str) -> dict[str, Any]:
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CheckpointError(f"cannot read {what} {path}: {exc}") from exc
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CheckpointError(f"corrupt {what} {path}: invalid JSON ({exc})") from exc
-    if not isinstance(payload, dict):
-        raise CheckpointError(f"corrupt {what} {path}: not a JSON object")
-    return payload
-
-
 def load_fleet_manifest(directory: str | Path) -> dict[str, Any]:
     """Read and validate a fleet checkpoint's manifest."""
     path = Path(directory) / FLEET_MANIFEST_NAME
-    payload = _load_json(path, what="fleet manifest")
+    payload = read_json_object(path, what="fleet manifest")
     if payload.get("format") != FLEET_FORMAT:
         raise CheckpointError(f"not a fleet checkpoint manifest: {path}")
     if payload.get("version") != FLEET_VERSION:
@@ -125,11 +115,20 @@ def resume_fleet(
 
     Every community engine is reconstructed and restored by the existing
     single-engine machinery, so the resumed fleet continues
-    bitwise-identically to one that never stopped.
+    bitwise-identically to one that never stopped.  Any damage raises
+    :class:`~repro.stream.checkpoint.CheckpointError`.
     """
+    directory = Path(directory)
+    with refused_as_damage(f"fleet checkpoint {directory} does not resume"):
+        fleet = _resume_fleet(directory, cache, stall_budget)
+    return fleet
+
+
+def _resume_fleet(
+    directory: Path, cache: GameSolutionCache | None, stall_budget: int
+) -> "FleetEngine":
     from repro.fleet.engine import FleetEngine
 
-    directory = Path(directory)
     manifest = load_fleet_manifest(directory)
     ring = HashRing.from_dict(manifest["ring"])
     expected = {
@@ -142,7 +141,7 @@ def resume_fleet(
             raise CheckpointError(
                 f"fleet manifest lists no checkpoint file for shard {shard_id!r}"
             )
-        shard_payload = _load_json(
+        shard_payload = read_json_object(
             directory / str(filename), what="shard checkpoint"
         )
         if shard_payload.get("format") != SHARD_FORMAT:

@@ -22,7 +22,10 @@ and ufunc-dispatch overhead without changing a single output bit:
   slots and pay per element for every extra sweep, so they step slot by
   slot, held slot-major so that each step is four ``out=`` calls on
   contiguous rows.  Either way the result is row-major: the cost
-  kernel's row sums round by memory layout.
+  kernel's row sums round by memory layout.  Both ways first add
+  ``0.0`` to the rows, once, in a copy they make anyway: that turns an
+  input ``-0.0`` into ``0.0``, as the reference's ``max(0, prev - d)``
+  bound does, and leaves every other value's bits alone.
 - **Cost**: ``np.diff`` is plain subtraction, so the trading array can
   be built directly into a preallocated buffer, and the buy/sell
   branches reuse the community-total buffer.  This is the in-place twin
@@ -113,9 +116,11 @@ def _sweep_clamp(
     """The clamp of ``(n, H)`` rows by whole-trajectory sweeps, and the
     number of sweeps it took (at most ``H + 1``)."""
     n, horizon = rows.shape
-    # lo, hi, then two buffers the sweeps alternate between.
-    block = np.empty((4, n, horizon))
+    # lo, hi, two buffers the sweeps alternate between, then the rows
+    # with ``-0.0`` turned to ``0.0`` (see the module docstring).
+    block = np.empty((5, n, horizon))
     lo, hi = bounds = block[:2]
+    rows = np.add(rows, 0.0, out=block[4])
     # Slot 0's bounds come from the pinned initial charge; the others
     # from the previous sweep, as prev + (-d) and prev + c in one add
     # (IEEE subtraction is the addition of the negation, zeros included).
@@ -157,10 +162,11 @@ class FusedBackend:
         if rows.shape[0] <= _SWEEP_MAX_ROWS:
             clamped, _ = _sweep_clamp(rows, initial, max_charge, max_discharge)
             return clamped.reshape(d.shape)
-        # Slot-major: b[h] holds slot h of every row, contiguous.
+        # Slot-major: b[h] holds slot h of every row, contiguous.  Adding
+        # 0.0 turns -0.0 into 0.0, as the reference's max(0, ·) bound does.
         b = np.empty((horizon + 1, rows.shape[0]))
         b[0] = initial
-        b[1:] = rows.T
+        np.add(rows.T, 0.0, out=b[1:])
         bound = np.empty(rows.shape[0])
         slots = list(b)
         for prev, slot in zip(slots, slots[1:]):

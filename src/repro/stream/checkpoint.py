@@ -15,12 +15,23 @@ resumes from its serialized bit-generator state, so a killed stream
 continues *bitwise-identically* to one that never stopped.  The property
 test in ``tests/test_stream_checkpoint.py`` asserts this over random cut
 points.
+
+The error contract: resume either returns a fully restored engine or
+raises :class:`CheckpointError`, whatever the damage.  A payload passed
+as a dict is validated exactly as one read from a file, and any failure
+to rebuild the engine from ``build`` or to restore ``state`` (a refused
+configuration, a missing or retyped key, an out-of-range value) is
+raised as a :class:`CheckpointError` chained to its cause.  The engine
+under restoration is discarded, so no half-restored state escapes.
+:func:`repro.fleet.checkpoint.resume_fleet` keeps the same contract.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from collections.abc import Iterator
+from contextlib import contextmanager
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
@@ -37,14 +48,30 @@ CHECKPOINT_VERSION = 1
 
 
 class CheckpointError(ValueError):
-    """A checkpoint file is unreadable, torn, or not a checkpoint at all.
+    """A checkpoint cannot be resumed: it is unreadable, torn, not a
+    checkpoint at all, or its sections do not rebuild and restore an
+    engine.
 
     Raised for missing files, truncated/bit-flipped JSON, wrong format
-    markers, unsupported versions and missing sections — every way a
-    crash or bad disk can damage a checkpoint.  The loader fails loudly
-    with this instead of resuming from corrupt state; the chaos suite
-    drives each damage mode through :mod:`repro.faults.chaos`.
+    markers, unsupported versions, missing sections, and build specs or
+    states that fail to rebuild or restore (chained to that failure) —
+    every way a crash, a bad disk or a hand edit can damage a
+    checkpoint.  Resume fails loudly with this instead of resuming from
+    corrupt state; the chaos suite drives each damage mode through
+    :mod:`repro.faults.chaos`.
     """
+
+
+@contextmanager
+def refused_as_damage(what: str) -> Iterator[None]:
+    """Re-raise any failure of the block but a :class:`CheckpointError`
+    as one, chained to it and prefixed with ``what``."""
+    try:
+        yield
+    except CheckpointError:
+        raise
+    except Exception as exc:
+        raise CheckpointError(f"{what}: {type(exc).__name__}: {exc}") from exc
 
 
 def checkpoint_payload(engine: Any) -> dict[str, Any]:
@@ -86,27 +113,37 @@ def save_checkpoint(engine: Any, path: str | Path) -> Path:
     return path
 
 
-def load_checkpoint(path: str | Path) -> dict[str, Any]:
-    """Read and validate a checkpoint document.
+def read_json_object(path: str | Path, *, what: str) -> dict[str, Any]:
+    """The JSON object stored at ``path``.
 
-    Raises :class:`CheckpointError` on any damage: unreadable file,
-    invalid JSON, wrong format marker, unsupported version, missing
-    sections.
+    Raises :class:`CheckpointError` if the file cannot be read, is not
+    UTF-8, is not JSON or holds something other than an object; ``what``
+    names the file in the message.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
+        raise CheckpointError(f"cannot read {what} {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CheckpointError(f"corrupt {what} {path}: not UTF-8 ({exc})") from exc
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CheckpointError(
-            f"corrupt checkpoint {path}: invalid JSON ({exc})"
-        ) from exc
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise CheckpointError(f"corrupt {what} {path}: invalid JSON ({exc})") from exc
     if not isinstance(payload, dict):
-        raise CheckpointError(f"corrupt checkpoint {path}: not a JSON object")
+        raise CheckpointError(f"corrupt {what} {path}: not a JSON object")
+    return payload
+
+
+def _validated(payload: dict[str, Any], *, origin: str | Path) -> dict[str, Any]:
+    """``payload`` if it is a checkpoint document this version reads.
+
+    Raises :class:`CheckpointError` unless it has the format marker,
+    this version and ``build`` and ``state`` objects; ``origin`` names
+    the payload's source in the message.
+    """
     if payload.get("format") != CHECKPOINT_FORMAT:
-        raise CheckpointError(f"not a stream checkpoint: {path}")
+        raise CheckpointError(f"not a stream checkpoint: {origin}")
     if payload.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"unsupported checkpoint version {payload.get('version')!r} "
@@ -114,8 +151,20 @@ def load_checkpoint(path: str | Path) -> dict[str, Any]:
         )
     for key in ("build", "state"):
         if key not in payload:
-            raise CheckpointError(f"checkpoint missing {key!r} section: {path}")
+            raise CheckpointError(f"checkpoint missing {key!r} section: {origin}")
+        if not isinstance(payload[key], dict):
+            raise CheckpointError(f"checkpoint {key!r} section is not an object: {origin}")
     return payload
+
+
+def load_checkpoint(path: str | Path) -> dict[str, Any]:
+    """Read and validate a checkpoint document.
+
+    Raises :class:`CheckpointError` on any damage: unreadable file,
+    invalid JSON, wrong format marker, unsupported version, missing
+    sections.
+    """
+    return _validated(read_json_object(path, what="checkpoint"), origin=path)
 
 
 def resume_engine(
@@ -138,11 +187,27 @@ def resume_engine(
     A :class:`~repro.stream.pipeline.StreamEngine` whose next event —
     and every event after it — matches what the original engine would
     have produced had it never stopped.
+
+    Raises
+    ------
+    CheckpointError
+        For any damage to the file or the payload, chained to the
+        failure it caused (see the module docstring).
     """
+    if isinstance(source, dict):
+        payload = _validated(source, origin="payload")
+    else:
+        payload = load_checkpoint(source)
+    with refused_as_damage("checkpoint does not resume"):
+        engine = _rebuild(payload["build"], cache)
+        engine.restore(payload["state"])
+    return engine
+
+
+def _rebuild(build: dict[str, Any], cache: GameSolutionCache | None) -> "StreamEngine":
+    """A fresh engine from a checkpoint's build spec."""
     from repro.stream.pipeline import build_replay_engine, build_synthetic_engine
 
-    payload = source if isinstance(source, dict) else load_checkpoint(source)
-    build = payload["build"]
     kind = build.get("kind")
     config = config_from_dict(build["config"])
     faults = build.get("faults")
@@ -182,6 +247,5 @@ def resume_engine(
             ),
         )
     else:
-        raise ValueError(f"unknown checkpoint build kind: {kind!r}")
-    engine.restore(payload["state"])
+        raise CheckpointError(f"unknown checkpoint build kind: {kind!r}")
     return engine

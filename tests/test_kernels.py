@@ -92,6 +92,27 @@ def _edge_rows(spec: BatteryConfig) -> np.ndarray:
     )
 
 
+def _signed_zero_population(
+    rng: np.random.Generator, n_rows: int
+) -> tuple[np.ndarray, dict]:
+    """Rows within the clamp's precondition but dense in both zeros: each
+    entry is 0.0, -0.0, the capacity or a uniform draw, on a random
+    battery whose initial charge and rates are zero half the time."""
+    capacity = float(rng.uniform(0.5, 3.0))
+    picks = rng.choice(4, p=[0.3, 0.3, 0.1, 0.3], size=(n_rows, HORIZON))
+    draws = rng.uniform(0.0, capacity, size=(n_rows, HORIZON))
+    rows = np.choose(
+        picks, [np.zeros_like(draws), np.full_like(draws, -0.0), np.full_like(draws, capacity), draws]
+    )
+    kwargs = dict(
+        initial=float(rng.choice([0.0, rng.uniform(0.0, capacity)])),
+        capacity=capacity,
+        max_charge=float(rng.choice([0.0, rng.uniform(0.1, capacity)])),
+        max_discharge=float(rng.choice([0.0, rng.uniform(0.1, capacity)])),
+    )
+    return rows, kwargs
+
+
 def _saw_tooth(n_rows: int) -> tuple[BatteryConfig, np.ndarray]:
     """Rows alternating between full and empty under slow rates, so the
     projection binds at every slot and its chain spans the horizon."""
@@ -155,6 +176,30 @@ class TestClampDecisions:
         ours = backend.clamp_decisions(decisions.copy(), **kwargs)
         ref = REFERENCE.clamp_decisions(decisions.copy(), **kwargs)
         assert ours.tobytes() == ref.tobytes()
+
+    def test_negative_zero_input_clamps_to_zero(self, backend):
+        """An input ``-0.0`` comes out ``0.0``, as the reference's
+        ``max(0, prev - d)`` bound makes it."""
+        got = backend.clamp_decisions(
+            np.array([[0.2, -0.0, 0.3]]),
+            initial=0.5,
+            capacity=1.0,
+            max_charge=1.0,
+            max_discharge=1.0,
+        )
+        assert got.tobytes() == np.array([[0.2, 0.0, 0.3]]).tobytes()
+
+    @pytest.mark.parametrize("n_rows", [1, 16, 64, 65, 544])
+    def test_signed_zero_populations_match_reference_bitwise(self, backend, n_rows):
+        """Fifty populations dense in ``±0.0`` per size, on both sides of
+        the fused clamp's 64-row switch."""
+        rng = np.random.default_rng(n_rows)
+        for _ in range(50):
+            rows, kwargs = _signed_zero_population(rng, n_rows)
+            assert np.any(np.signbit(rows) & (rows >= 0.0))
+            ours = backend.clamp_decisions(rows.copy(), **kwargs)
+            ref = REFERENCE.clamp_decisions(rows.copy(), **kwargs)
+            assert ours.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("spec", SPECS)
     def test_matches_historical_clamp(self, backend, spec):

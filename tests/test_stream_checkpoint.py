@@ -16,6 +16,9 @@ from repro.core.config import (
 )
 from repro.simulation.cache import GameSolutionCache
 from repro.stream.checkpoint import (
+    CHECKPOINT_FORMAT,
+    CHECKPOINT_VERSION,
+    CheckpointError,
     load_checkpoint,
     resume_engine,
     save_checkpoint,
@@ -151,6 +154,8 @@ class TestCheckpointFormat:
         from repro.stream.checkpoint import checkpoint_payload
 
         bogus_kind = {
+            "format": CHECKPOINT_FORMAT,
+            "version": CHECKPOINT_VERSION,
             "build": {"kind": "bogus", "config": config_to_dict(tiny_config)},
             "state": {},
         }
@@ -163,7 +168,7 @@ class TestCheckpointFormat:
             (bogus_kind, "unknown checkpoint build kind"),
             (tampered, "unknown detector kind 'unawre'"),
         ):
-            with pytest.raises(ValueError, match=match):
+            with pytest.raises(CheckpointError, match=match):
                 resume_engine(payload)
 
     @pytest.mark.parametrize(
@@ -229,7 +234,8 @@ class TestCheckpointFormat:
     ):
         """JSON reads NaN and Infinity literals, strings, huge integers
         and unknown keys; the config refuses them before any engine is
-        built, in every config section."""
+        built, in every config section, and resume raises that refusal
+        as the cause of its ``CheckpointError``."""
         import repro.stream.pipeline as pipeline
         from repro.core.config import ConfigError
 
@@ -248,8 +254,11 @@ class TestCheckpointFormat:
 
         monkeypatch.setattr(pipeline, "build_synthetic_engine", no_build)
         monkeypatch.setattr(pipeline, "build_replay_engine", no_build)
-        with pytest.raises(ConfigError, match=refusal or f"{name} must be finite"):
+        with pytest.raises(
+            CheckpointError, match=refusal or f"{name} must be finite"
+        ) as refused:
             resume_engine(path, cache=cache)
+        assert isinstance(refused.value.__cause__, ConfigError)
 
     def test_no_tmp_file_left_behind(self, tiny_config, cache, tmp_path):
         engine = build_synthetic_engine(tiny_config, n_days=1, cache=cache)
